@@ -9,6 +9,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -176,13 +177,24 @@ Router::spawnWorker(int slot_index)
     ::fcntl(heartbeat[0], F_SETFL, O_NONBLOCK);
 
     const int incarnation = slot.incarnation + 1;
+    // Hold SIGTERM/SIGINT across fork(): a stop forwarded before the
+    // child resets its handlers would otherwise land in the inherited
+    // router handler and be lost, leaving the worker running.
+    sigset_t stop_signals, saved_mask;
+    ::sigemptyset(&stop_signals);
+    ::sigaddset(&stop_signals, SIGTERM);
+    ::sigaddset(&stop_signals, SIGINT);
+    ::pthread_sigmask(SIG_BLOCK, &stop_signals, &saved_mask);
     const pid_t pid = ::fork();
+    if (pid != 0)
+        ::pthread_sigmask(SIG_SETMASK, &saved_mask, nullptr);
     PAQOC_FATAL_IF(pid < 0, "fleet: fork(): ", std::strerror(errno));
     if (pid == 0) {
         // Worker incarnation: shed every router-side fd so the only
         // links back are this slot's control pair and heartbeat pipe.
         ::signal(SIGTERM, SIG_DFL);
         ::signal(SIGINT, SIG_DFL);
+        ::pthread_sigmask(SIG_SETMASK, &saved_mask, nullptr);
         if (unix_fd_ >= 0)
             ::close(unix_fd_);
         if (tcp_fd_ >= 0)
@@ -194,10 +206,9 @@ Router::spawnWorker(int slot_index)
         ::close(control[0]);
         ::close(heartbeat[0]);
         if (slot_index == 0 && incarnation == 0) {
-            // Same convention as --supervise: worker-only fault
-            // injection arms exactly once, in the fleet's first
-            // worker, so chaos tests crash one worker and assert the
-            // restarted incarnation serves cleanly.
+            // Worker-only fault injection arms exactly once, in the
+            // fleet's first worker, so chaos tests crash one worker
+            // and assert the restarted incarnation serves cleanly.
             const char *spec =
                 std::getenv("PAQOC_WORKER_FAILPOINTS");
             if (spec != nullptr && *spec != '\0')
@@ -449,13 +460,16 @@ Router::runLoop()
     ::close(g_signal_pipe[1]);
     g_signal_pipe[0] = g_signal_pipe[1] = -1;
 
-    if (stopping_)
-        return 0;
-    // Every slot spent its restart budget: surface the last status the
-    // way the single-worker supervisor does.
-    const int status = slots_.back().lastStatus;
-    return WIFEXITED(status) ? WEXITSTATUS(status)
-                             : 128 + WTERMSIG(status);
+    // A drain is clean only if every worker exited 0; a fleet whose
+    // slots all spent their restart budgets surfaces a worker's status.
+    for (const Slot &slot : slots_) {
+        const int status = slot.lastStatus;
+        if (WIFSIGNALED(status))
+            return 128 + WTERMSIG(status);
+        if (WIFEXITED(status) && WEXITSTATUS(status) != 0)
+            return WEXITSTATUS(status);
+    }
+    return 0;
 }
 
 int
@@ -480,6 +494,42 @@ Router::slotStats() const
     for (const Slot &slot : slots_)
         stats.push_back(SlotStats{slot.incarnation + 1, slot.handed});
     return stats;
+}
+
+HeartbeatThread::HeartbeatThread(int fd, double interval_ms)
+{
+    if (fd < 0)
+        return;
+    thread_ = std::thread([this, fd, interval_ms]() {
+        const auto step = std::chrono::milliseconds(10);
+        auto next = std::chrono::steady_clock::now();
+        while (!stop_.load(std::memory_order_relaxed)) {
+            if (std::chrono::steady_clock::now() >= next) {
+                // heartbeat.stall simulates a wedged worker: the
+                // process stays alive but its beats stop, which the
+                // router must treat as a hang.
+                if (failpoint::evaluate("heartbeat.stall").action
+                    == failpoint::Action::Off) {
+                    const char byte = '.';
+                    failpoint::checkedWrite("heartbeat.write", fd,
+                                            &byte, 1);
+                }
+                next = std::chrono::steady_clock::now()
+                    + std::chrono::duration_cast<
+                          std::chrono::steady_clock::duration>(
+                        std::chrono::duration<double, std::milli>(
+                            std::max(1.0, interval_ms)));
+            }
+            std::this_thread::sleep_for(step);
+        }
+    });
+}
+
+HeartbeatThread::~HeartbeatThread()
+{
+    stop_.store(true, std::memory_order_relaxed);
+    if (thread_.joinable())
+        thread_.join();
 }
 
 } // namespace fleet

@@ -1,14 +1,19 @@
 #ifndef PAQOC_FLEET_ROUTER_H_
 #define PAQOC_FLEET_ROUTER_H_
 
+#include <atomic>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace paqoc {
 namespace fleet {
 
-/** Pool-manager configuration of `paqocd --fleet N` (DESIGN.md §12). */
+/**
+ * Pool-manager configuration of `paqocd --fleet N` (DESIGN.md §12);
+ * `--supervise` is the same router with one worker (DESIGN.md §10).
+ */
 struct RouterOptions
 {
     /** Unix-domain listening socket ("" = none). */
@@ -42,21 +47,53 @@ struct FleetWorkerContext
     /** Control socket: receive client connections via fleet::recvFd.
      *  EOF here means the router is gone -- drain and exit. */
     int controlFd = -1;
-    /** Write end of the heartbeat pipe. */
+    /** Write end of the heartbeat pipe; -1 outside a router. */
     int heartbeatFd = -1;
     double heartbeatIntervalMs = 250.0;
 };
 
 /**
- * Multi-worker fleet router: the `--supervise` single-worker state
- * machine (service/supervisor.h) generalized to a pool. The router
- * owns the listening endpoints (Unix socket and/or TCP), accepts every
- * client connection, and hands each accepted socket to a worker over
- * that slot's control socketpair via SCM_RIGHTS (fleet/fdpass.h),
- * round-robin over live slots. Per slot it keeps the supervisor's
- * guarantees: heartbeat monitoring, SIGKILL on hang, bounded
- * exponentially backed-off restarts, PAQOC_WORKER_FAILPOINTS armed in
- * slot 0's first incarnation only.
+ * RAII heartbeat of a fleet worker: a background thread writes one
+ * byte per interval to the router's pipe. Inert when fd < 0, so a
+ * process serving without a router constructs it for free. The
+ * `heartbeat.stall` failpoint suppresses beats (simulating a wedged
+ * worker) without blocking this thread; `heartbeat.write` fails the
+ * write itself. Either reads as a hang to the router.
+ */
+class HeartbeatThread
+{
+  public:
+    HeartbeatThread(int fd, double interval_ms);
+    ~HeartbeatThread();
+
+    HeartbeatThread(const HeartbeatThread &) = delete;
+    HeartbeatThread &operator=(const HeartbeatThread &) = delete;
+
+  private:
+    std::atomic<bool> stop_{false};
+    std::thread thread_;
+};
+
+/**
+ * Process supervisor and connection router of `paqocd --fleet N`; a
+ * one-worker router is `paqocd --supervise`. The router owns the
+ * listening endpoints (Unix socket and/or TCP), accepts every client
+ * connection, and hands each accepted socket to a worker over that
+ * slot's control socketpair via SCM_RIGHTS (fleet/fdpass.h),
+ * round-robin over live slots.
+ *
+ * Per slot (DESIGN.md §10):
+ *
+ *   SPAWN -> MONITOR --heartbeat EOF + exit 0-------> DRAIN (all slots)
+ *                    --crash (signal / nonzero exit)-> BACKOFF
+ *                    --heartbeat silence > timeout---> KILL -> BACKOFF
+ *   BACKOFF --restarts left--> SPAWN (delay doubles, capped)
+ *           --budget spent---> RETIRED
+ *
+ * PAQOC_WORKER_FAILPOINTS (same grammar as PAQOC_FAILPOINTS) is armed
+ * in slot 0's first incarnation only: failpoint budgets are
+ * per-process, so a test crashes one worker exactly once and observes
+ * the restarted incarnation serve cleanly.
  *
  * Shutdown is drain-aware: on SIGTERM/SIGINT (or requestStop()) the
  * router closes its listeners, forwards the signal to every worker,
@@ -69,8 +106,8 @@ struct FleetWorkerContext
  * connection (return-error drops it, abort kills the router);
  * `fleet.fdpass` fires inside the handoff (see fleet/fdpass.h).
  *
- * This file and service/supervisor.cpp are the only places allowed to
- * call fork()/kill()/waitpid() (lint rule `process-control`).
+ * src/fleet/router.* is the only place allowed to call
+ * fork()/kill()/waitpid() (lint rule `process-control`).
  */
 class Router
 {
@@ -93,7 +130,12 @@ class Router
      */
     void start();
 
-    /** Monitor/dispatch until shutdown; returns the exit code. */
+    /**
+     * Monitor/dispatch until shutdown. Returns 0 when every worker's
+     * last exit was clean, else the first unclean slot's status
+     * (exit code, or 128+signum): a drain whose worker failed, or a
+     * fleet whose every slot spent its restart budget.
+     */
     int runLoop();
 
     /** start() + runLoop(). */

@@ -148,17 +148,9 @@ struct PauliBasis
     std::vector<unsigned> supports;
 };
 
-const PauliBasis &
-pauliBasis(int num_qubits)
+PauliBasis
+buildPauliBasis(int num_qubits)
 {
-    static PauliBasis cache[5]; // index by qubit count, 1..4
-    PAQOC_FATAL_IF(num_qubits < 1 || num_qubits > 4,
-                   "pauliSplitNorms supports 1..4 qubits, got ",
-                   num_qubits);
-    PauliBasis &basis = cache[num_qubits];
-    if (!basis.strings.empty())
-        return basis;
-
     const Matrix paulis[4] = {
         Matrix::identity(2),
         Matrix{{0.0, 1.0}, {1.0, 0.0}},
@@ -166,6 +158,7 @@ pauliBasis(int num_qubits)
                {Complex(0, 1), Complex(0, 0)}},
         Matrix{{1.0, 0.0}, {0.0, -1.0}},
     };
+    PauliBasis basis;
     const std::size_t total = std::size_t{1} << (2 * num_qubits);
     for (std::size_t code = 0; code < total; ++code) {
         Matrix p = Matrix::identity(1);
@@ -186,6 +179,37 @@ pauliBasis(int num_qubits)
         basis.supports.push_back(support);
     }
     return basis;
+}
+
+const PauliBasis &
+pauliBasis(int num_qubits)
+{
+    PAQOC_FATAL_IF(num_qubits < 1 || num_qubits > 4,
+                   "pauliSplitNorms supports 1..4 qubits, got ",
+                   num_qubits);
+    // One magic static per width: C++11 serializes the first
+    // initialization of each, so concurrent first estimates (a daemon
+    // serving clients right after start-up) see fully built tables,
+    // and a width nothing asks for (the 1 MiB 4-qubit table) is never
+    // built.
+    switch (num_qubits) {
+      case 1: {
+        static const PauliBasis basis = buildPauliBasis(1);
+        return basis;
+      }
+      case 2: {
+        static const PauliBasis basis = buildPauliBasis(2);
+        return basis;
+      }
+      case 3: {
+        static const PauliBasis basis = buildPauliBasis(3);
+        return basis;
+      }
+      default: {
+        static const PauliBasis basis = buildPauliBasis(4);
+        return basis;
+      }
+    }
 }
 
 } // namespace

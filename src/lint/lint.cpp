@@ -198,22 +198,19 @@ checkPrintfOutput(const FileContext &ctx)
 void
 checkProcessControl(const FileContext &ctx)
 {
-    // Process lifetime is the supervising state machines' business
-    // alone: a fork/kill/wait anywhere else bypasses the restart
-    // budget, the heartbeat watchdog, and the signal-forwarding state
-    // machine. The fleet router is the supervisor generalized to a
-    // worker pool, so it shares the license.
-    if (startsWith(ctx.path, "src/service/supervisor.")
-        || startsWith(ctx.path, "src/fleet/router."))
+    // Process lifetime is the fleet router's business alone (it is
+    // also `--supervise`, as a fleet of one): a fork/kill/wait
+    // anywhere else bypasses the restart budget, the heartbeat
+    // watchdog, and the signal-forwarding state machine.
+    if (startsWith(ctx.path, "src/fleet/router."))
         return;
     static const std::regex pattern(
         R"((::\s*)?\b(fork|vfork|kill|killpg|waitpid|wait4|posix_spawn\w*|exec[lv]\w*)\s*\()");
     checkLinePattern(ctx, "process-control", pattern,
                      "process-control syscall outside "
-                     "src/service/supervisor.* or src/fleet/router.*; "
-                     "child lifetime must flow through runSupervised "
-                     "or the fleet Router so restarts, heartbeats, and "
-                     "signal forwarding live in one audited state "
+                     "src/fleet/router.*; child lifetime must flow "
+                     "through the fleet Router so restarts, heartbeats, "
+                     "and signal forwarding live in one audited state "
                      "machine");
 }
 
@@ -425,7 +422,7 @@ ruleDescription(const std::string &rule)
          "printf-family call in library code; libraries return "
          "values, they do not write to process streams"},
         {"process-control",
-         "process-control syscall outside the supervisor/router; "
+         "process-control syscall outside the fleet router; "
          "child lifetime flows through one audited state machine"},
         {"raw-io",
          "raw write()/send()-family syscall bypasses the "

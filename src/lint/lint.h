@@ -78,12 +78,12 @@ namespace lint {
  *                        carries its own `fleet.fdpass` failpoint.
  *   process-control      fork()/vfork()/kill()/waitpid()/exec*()/
  *                        posix_spawn*() anywhere except
- *                        src/service/supervisor.* and
  *                        src/fleet/router.*: child-process lifetime
- *                        flows through runSupervised or the fleet
- *                        Router so the restart budget, heartbeat
- *                        watchdog, and signal forwarding live in one
- *                        audited state machine (DESIGN.md §10, §12).
+ *                        flows through the fleet Router (also
+ *                        `--supervise`, as a fleet of one) so the
+ *                        restart budget, heartbeat watchdog, and
+ *                        signal forwarding live in one audited state
+ *                        machine (DESIGN.md §10, §12).
  *   matrix-product-in-loop  Matrix operator* between matrix-typed
  *                        operands inside a for/while body in src/qoc
  *                        or src/sim: the product allocates its result

@@ -156,21 +156,25 @@ mergeCustomizedGates(const Circuit &circuit, PulseGenerator &generator,
     LatencyOracle latency(generator);
     const LatencyFn lat_fn = [&](const Gate &g) { return latency(g); };
     std::map<std::string, double> pair_memo;
+    const double eps = 1e-9;
 
-
-    // Preprocessing merges only nested-support (same effective width)
-    // runs, which Observation 1 certifies; no latency check needed.
     MergeResult result;
-    Circuit cur = options.preprocess
-        ? preprocessMergeNestedSupport(circuit, options.maxN, &lat_fn)
-        : circuit;
-
-    {
-        const Schedule s0 = computeSchedule(cur, lat_fn);
-        result.stats.initialMakespan = s0.makespan;
+    result.stats.initialMakespan =
+        computeSchedule(circuit, lat_fn).makespan;
+    // Preprocessing merges nested-support runs, which Observation 1
+    // bounds group by group; but a group also serializes members that
+    // ran in parallel, so the makespan can grow. Where the estimates
+    // are the pulses' own latencies, keep it only if it is no longer.
+    Circuit cur = circuit;
+    if (options.preprocess) {
+        Circuit pre =
+            preprocessMergeNestedSupport(circuit, options.maxN, &lat_fn);
+        if (!generator.estimatesArePulseLatencies()
+            || computeSchedule(pre, lat_fn).makespan
+                <= result.stats.initialMakespan + eps)
+            cur = std::move(pre);
     }
 
-    const double eps = 1e-9;
     while (true) {
         ++result.stats.iterations;
         // Scheduling stays on the plain DAG (commuting gates still

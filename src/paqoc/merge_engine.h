@@ -37,6 +37,7 @@ struct MergeStats
     int mergesApplied = 0;
     int candidatesScored = 0;
     int candidatesPruned = 0;
+    /** Makespan of the input circuit (before preprocessing). */
     double initialMakespan = 0.0;
     double finalMakespan = 0.0;
 };

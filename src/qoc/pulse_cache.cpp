@@ -36,24 +36,6 @@ phaseNormalized(const Matrix &u)
     return out;
 }
 
-/** Relabel qubits by reversing their order (path symmetry). */
-Matrix
-bitReversed(const Matrix &u, int num_qubits)
-{
-    const std::size_t dim = u.rows();
-    auto rev = [num_qubits](std::size_t x) {
-        std::size_t y = 0;
-        for (int b = 0; b < num_qubits; ++b)
-            y |= ((x >> b) & 1u) << (num_qubits - 1 - b);
-        return y;
-    };
-    Matrix out(dim, dim);
-    for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t c = 0; c < dim; ++c)
-            out(rev(r), rev(c)) = u(r, c);
-    return out;
-}
-
 std::string
 quantized(const Matrix &u)
 {
@@ -82,14 +64,8 @@ PulseCache::canonicalKey(const Matrix &unitary, int num_qubits)
 {
     PAQOC_ASSERT(unitary.rows() == (std::size_t{1} << num_qubits),
                  "unitary does not match qubit count");
-    std::string key = quantized(phaseNormalized(unitary));
-    if (num_qubits > 1) {
-        std::string alt = quantized(
-            phaseNormalized(bitReversed(unitary, num_qubits)));
-        if (alt < key)
-            key = std::move(alt);
-    }
-    return std::to_string(num_qubits) + ":" + key;
+    return std::to_string(num_qubits) + ":"
+        + quantized(phaseNormalized(unitary));
 }
 
 PulseCache::Acquired
@@ -172,18 +148,6 @@ PulseCache::lookup(const Matrix &unitary, int num_qubits) const
         return nullptr;
     hits_.fetch_add(1, std::memory_order_relaxed);
     return &it->second;
-}
-
-std::optional<CachedPulse>
-PulseCache::find(const Matrix &unitary, int num_qubits) const
-{
-    const std::string key = canonicalKey(unitary, num_qubits);
-    MutexLock lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it == entries_.end())
-        return std::nullopt;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
 }
 
 void

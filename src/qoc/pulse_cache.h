@@ -103,10 +103,11 @@ class PulseTierSource
 /**
  * Lookup table of previously generated pulses (paper Section V-B).
  *
- * Keys are canonical forms of the target unitary: global phase is
- * normalized away and, because a <=3-qubit connected region of the
- * grid couples as a path, the qubit order may be reversed without
- * changing the control problem -- both orientations map to one key.
+ * Keys are canonical forms of the target unitary with its global
+ * phase normalized away. A unitary and its qubit-reversed twin keep
+ * distinct keys: a stored schedule drives the qubits in the order it
+ * was derived for, so serving it for the reversed gate would play the
+ * wrong pulse.
  * The cache also serves nearest-neighbor queries so a similar cached
  * pulse can seed GRAPE (the AccQOC-style warm start PAQOC adopts).
  *
@@ -171,10 +172,6 @@ class PulseCache
      * concurrent overwrite of the same key.
      */
     const CachedPulse *lookup(const Matrix &unitary, int num_qubits) const;
-
-    /** Exact canonical lookup returning a copy (thread-safe). */
-    std::optional<CachedPulse> find(const Matrix &unitary,
-                                    int num_qubits) const;
 
     /** Insert (or overwrite) the entry for a unitary. */
     void insert(const Matrix &unitary, int num_qubits, CachedPulse entry);

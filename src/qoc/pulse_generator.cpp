@@ -154,9 +154,6 @@ double
 SpectralPulseGenerator::estimateLatency(const Matrix &unitary,
                                         int num_qubits)
 {
-    if (const std::optional<CachedPulse> hit =
-            cache_.find(unitary, num_qubits))
-        return hit->latency;
     return model_.latency(unitary, num_qubits);
 }
 
@@ -293,9 +290,6 @@ GrapePulseGenerator::generateOne(const Matrix &unitary, int num_qubits,
 double
 GrapePulseGenerator::estimateLatency(const Matrix &unitary, int num_qubits)
 {
-    if (const std::optional<CachedPulse> hit =
-            cache_.find(unitary, num_qubits))
-        return hit->latency;
     return model_.latency(unitary, num_qubits);
 }
 

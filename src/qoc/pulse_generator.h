@@ -78,12 +78,23 @@ class PulseGenerator
         const std::vector<PulseRequest> &requests,
         ThreadPool *pool = nullptr);
 
-    /** Cheap latency estimate without committing a pulse. */
+    /**
+     * Cheap latency estimate without committing a pulse: the
+     * analytical model alone, never a cached pulse, so compile
+     * decisions do not depend on what the library already holds.
+     */
     virtual double estimateLatency(const Matrix &unitary,
                                    int num_qubits) = 0;
 
     /** Width-level average latency (for Case I approximations). */
     virtual double averageLatency(int num_qubits) = 0;
+
+    /**
+     * True when estimateLatency() is the latency the committed pulse
+     * will have (the analytical backend), so a pass can check the
+     * schedule it builds against the one it was given.
+     */
+    virtual bool estimatesArePulseLatencies() const { return false; }
 
     /** Accumulated modeled compilation cost over all generate calls. */
     double totalCostUnits() const
@@ -205,6 +216,7 @@ class SpectralPulseGenerator : public PulseGenerator
 
     double estimateLatency(const Matrix &unitary, int num_qubits) override;
     double averageLatency(int num_qubits) override;
+    bool estimatesArePulseLatencies() const override { return true; }
 
     /**
      * Disable the pulse lookup table (ablation knob): every generate()

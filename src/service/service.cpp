@@ -446,7 +446,7 @@ PulseService::statsJson() const
         Json(cancelled_requests_.load(std::memory_order_relaxed)));
     s.set("serving", std::move(serving));
     // Process-level view for operators: how long this worker has been
-    // up, whether a supervisor restarts it, and how much recovered
+    // up, whether a fleet router restarts it, and how much recovered
     // state it rode in on (satellite of DESIGN.md §10).
     Json daemon = Json::object();
     daemon.set(

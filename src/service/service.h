@@ -186,8 +186,9 @@ class PulseService
 
     /**
      * Tell the stats frame how this process is being run: whether a
-     * supervisor is watching it and how many times the worker has
-     * been restarted (the supervisor's incarnation counter).
+     * fleet router (`--supervise` or `--fleet`) is watching it and
+     * how many times the worker has been restarted (the router's
+     * incarnation counter).
      */
     void
     setSupervisionInfo(bool supervised, int worker_restarts)

@@ -435,7 +435,7 @@ PulseLibrary::spectralFingerprint()
 {
     char buf[96];
     std::snprintf(buf, sizeof buf,
-                  "spectral-v1;dev=xy-transmon;u2=%.17g;u1=%.17g",
+                  "spectral-v2;dev=xy-transmon;u2=%.17g;u1=%.17g",
                   DeviceModel::kTwoQubitBound,
                   DeviceModel::kOneQubitBound);
     return buf;
@@ -446,7 +446,7 @@ PulseLibrary::grapeFingerprint(const GrapeOptions &options)
 {
     char buf[192];
     std::snprintf(buf, sizeof buf,
-                  "grape-v1;dev=xy-transmon;u2=%.17g;u1=%.17g;"
+                  "grape-v2;dev=xy-transmon;u2=%.17g;u1=%.17g;"
                   "ti=%.17g;mi=%d;lr=%.17g;seed=%llu;rs=%d;dp=%d",
                   DeviceModel::kTwoQubitBound,
                   DeviceModel::kOneQubitBound, options.targetInfidelity,

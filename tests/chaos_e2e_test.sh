@@ -4,7 +4,7 @@
 # checkpointing on -- a mid-append crash, and a supervised worker
 # crash, and verify the recovery contract of DESIGN.md §9-§10: every
 # scenario ends in either a served, byte-identical payload or a clean
-# typed error, and a restart (or the supervisor) heals everything.
+# typed error, and a restart (or the fleet router) heals everything.
 #
 # Usage: chaos_e2e_test.sh <paqocc> <paqocd> <input.qasm> [paqoc-tierd]
 set -eu
@@ -212,10 +212,12 @@ case "$RESUME_LINE" in
     fail "restarted daemon never used the checkpoint: $RESUME_LINE" ;;
 esac
 
-# 7. Supervised worker crash: under --supervise the worker aborts just
-#    after it starts accepting connections (the worst window), the
-#    supervisor restarts it, the client's bounded retries ride across
-#    the restart, and SIGTERM still shuts the pair down cleanly.
+# 7. Supervised worker crash: --supervise is the fleet router with one
+#    worker. The worker aborts just after it starts accepting
+#    connections (the worst window), the router restarts it, the
+#    client's bounded retries ride across the restart, and SIGTERM
+#    still shuts the pair down cleanly. A fleet of one keeps its
+#    library in --library DIR itself, so a plain daemon recovers it.
 rm -rf "$LIB"
 rm -f "$SOCK"
 PAQOC_WORKER_FAILPOINTS="worker.crash=abort:1" "$PAQOCD" --supervise \
@@ -231,17 +233,31 @@ done
     --topology 2x2 --json "$QASM" > "$WORK/supervised.json"
 cmp -s "$WORK/local.json" "$WORK/supervised.json" \
     || fail "restarted supervised worker served different bytes"
-grep -q "paqocd-supervisor: worker incarnation 1 started" \
+grep -q "paqocd-router: worker 0 incarnation 1 started" \
     "$WORK/daemon.log" \
-    || fail "supervisor never restarted the crashed worker"
+    || fail "router never restarted the crashed worker"
 kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID" || fail "supervised daemon exited non-zero"
 DAEMON_PID=
-grep -q "paqocd-supervisor: forwarding signal" "$WORK/daemon.log" \
-    || fail "supervisor did not forward the shutdown signal"
-grep -q "paqocd-supervisor: worker stopped on forwarded signal" \
+grep -q "paqocd-router: forwarding signal 15 to workers" \
     "$WORK/daemon.log" \
+    || fail "router did not forward the shutdown signal"
+grep -q "paqocd-router: worker 0 stopped" "$WORK/daemon.log" \
     || fail "worker did not stop on the forwarded signal"
+grep -q "paqocd-router: worker 0: 2 incarnations" "$WORK/daemon.log" \
+    || fail "router did not report the restarted worker"
+[ ! -e "$LIB/worker0" ] || fail "a one-worker fleet split its library"
+start_daemon ""
+"$PAQOCC" --connect "$SOCK" --retries 10 --backoff-ms 100 \
+    --topology 2x2 --json "$QASM" > "$WORK/supervised_lib.json"
+cmp -s "$WORK/local.json" "$WORK/supervised_lib.json" \
+    || fail "payload differs over the supervised library"
+kill -TERM "$DAEMON_PID"
+wait "$DAEMON_PID" || fail "daemon over the supervised library failed"
+DAEMON_PID=
+grep "paqocd: spectral library:" "$WORK/daemon.log" | tail -1 \
+    | grep -qv ": 0 pulses recovered" \
+    || fail "the supervised daemon's library was not recovered"
 
 # 8. Fleet chaos: two workers behind the router, kill -9 one worker
 #    while clients are in flight. The router detects the death, keeps

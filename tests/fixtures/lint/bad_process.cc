@@ -1,5 +1,5 @@
-// Fixture: process-control syscalls outside the supervisor (every
-// lint path except src/service/supervisor.* is covered).
+// Fixture: process-control syscalls outside the fleet router (every
+// lint path except src/fleet/router.* is covered).
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "lint/analyzer.h"
@@ -265,8 +267,13 @@ class TempTree : public ::testing::Test
 protected:
     void SetUp() override
     {
+        // One directory per test (and process), so tests running
+        // side by side under ctest -j never share a tree.
+        const ::testing::TestInfo *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
         root_ = std::filesystem::temp_directory_path()
-            / "paqoc_analyzer_test";
+            / ("paqoc_analyzer_" + std::string(info->name()) + "_"
+               + std::to_string(static_cast<long>(::getpid())));
         std::filesystem::remove_all(root_);
         std::filesystem::create_directories(root_ / "src/demo");
         write("src/demo/thing.h",

@@ -15,6 +15,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -22,6 +24,8 @@
 
 #include <cstring>
 
+#include <poll.h>
+#include <sys/signalfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -698,32 +702,63 @@ TEST(FleetServer, ExhaustedTenantCanOptIntoDegradedService)
 // Connection router (fork-based; suites run in the chaos lane)     //
 // ---------------------------------------------------------------- //
 
+/**
+ * Per-test scratch path: the test's name plus this process's pid, so
+ * tests running side by side (ctest -j) never share a socket or log.
+ */
+std::string
+scratchPath(const std::string &suffix)
+{
+    const ::testing::TestInfo *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path()
+        / ("paqoc_fleet_" + std::string(info->name()) + "_"
+           + std::to_string(static_cast<long>(::getpid())) + suffix);
+    std::filesystem::remove(path);
+    return path.string();
+}
+
 fleet::RouterOptions
-scratchRouterOptions(const std::string &name, int workers)
+scratchRouterOptions(int workers)
 {
     fleet::RouterOptions opts;
-    opts.socketPath = "/tmp/paqoc_test_fleet_router_" + name + ".sock";
+    opts.socketPath = scratchPath(".sock");
     opts.workers = workers;
     opts.backoffMs = 10.0;
     opts.backoffCapMs = 50.0;
     opts.heartbeatIntervalMs = 20.0;
     // The minimal test workers never beat; death is still detected
-    // through heartbeat-pipe EOF, so hang detection stays off here
-    // (test_supervisor covers the hang path).
+    // through heartbeat-pipe EOF, so hang detection stays off unless
+    // a test turns it on (the FleetSuperviseHang suite does).
     opts.heartbeatTimeoutMs = 0.0;
-    ::unlink(opts.socketPath.c_str());
     return opts;
 }
 
 /**
  * Minimal fleet worker body (runs in the forked child, no gtest):
  * answer every handed connection with one byte identifying the slot,
- * then exit 0 on router EOF.
+ * exit 0 on router EOF or on a forwarded SIGTERM (a clean drain, as
+ * paqocd's serve() does). SIGTERM arrives through a signalfd rather
+ * than a handler, which sanitizer runtimes may defer while the worker
+ * blocks. `limit` > 0 makes the worker exit cleanly on its own after
+ * that many connections.
  */
 int
-echoWorker(const fleet::FleetWorkerContext &ctx)
+echoWorker(const fleet::FleetWorkerContext &ctx, int limit = 0)
 {
-    for (;;) {
+    sigset_t term;
+    ::sigemptyset(&term);
+    ::sigaddset(&term, SIGTERM);
+    ::sigprocmask(SIG_BLOCK, &term, nullptr);
+    const int stop_fd = ::signalfd(-1, &term, 0);
+    for (int served = 0; limit <= 0 || served < limit; ++served) {
+        pollfd fds[2] = {{ctx.controlFd, POLLIN, 0},
+                         {stop_fd, POLLIN, 0}};
+        while (::poll(fds, 2, -1) < 0) {
+        }
+        if (fds[1].revents & POLLIN)
+            return 0;
         const int fd = fleet::recvFd(ctx.controlFd);
         if (fd < 0)
             return 0;
@@ -731,6 +766,7 @@ echoWorker(const fleet::FleetWorkerContext &ctx)
         (void)::send(fd, &byte, 1, MSG_NOSIGNAL);
         ::close(fd);
     }
+    return 0;
 }
 
 /** Connect to the router's Unix socket and read the one-byte answer. */
@@ -757,9 +793,10 @@ askFleet(const std::string &socket_path)
 
 TEST(FleetRouter, RoundRobinsConnectionsAcrossWorkers)
 {
-    const fleet::RouterOptions opts =
-        scratchRouterOptions("roundrobin", 2);
-    fleet::Router router(opts, echoWorker);
+    const fleet::RouterOptions opts = scratchRouterOptions(2);
+    fleet::Router router(opts, [](const fleet::FleetWorkerContext &ctx) {
+        return echoWorker(ctx);
+    });
     router.start();
     std::thread loop([&router]() { router.runLoop(); });
 
@@ -784,8 +821,7 @@ TEST(FleetRouter, RoundRobinsConnectionsAcrossWorkers)
 
 TEST(FleetRouter, CrashedWorkerIsRestartedAndKeepsServing)
 {
-    const fleet::RouterOptions opts =
-        scratchRouterOptions("restart", 2);
+    const fleet::RouterOptions opts = scratchRouterOptions(2);
     // Worker body: slot 0's first incarnation dies instantly with a
     // nonzero status; every other incarnation serves normally.
     fleet::Router router(
@@ -795,6 +831,10 @@ TEST(FleetRouter, CrashedWorkerIsRestartedAndKeepsServing)
             return echoWorker(ctx);
         });
     router.start();
+    // Let slot 0's first incarnation die before the first connection:
+    // a socket handed to a worker in the instant before it exits is
+    // lost with it (clients ride such a crash on their retries).
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
     std::thread loop([&router]() { router.runLoop(); });
 
     // Every connection is answered -- by slot 1 while slot 0 is down,
@@ -815,21 +855,220 @@ TEST(FleetRouter, CrashedWorkerIsRestartedAndKeepsServing)
 
 TEST(FleetRouter, OneWorkersCleanExitDrainsTheFleet)
 {
-    const fleet::RouterOptions opts = scratchRouterOptions("drain", 2);
-    // Slot 0 exits cleanly (as a worker does after a client's
-    // "shutdown" op); the router must drain the whole fleet rather
-    // than keep serving at half capacity.
+    const fleet::RouterOptions opts = scratchRouterOptions(2);
+    // Slot 0 exits cleanly after its second connection (as a worker
+    // does after a client's "shutdown" op); the router must drain the
+    // whole fleet rather than keep serving at half capacity. Slot 1
+    // answers the second connection first, so it is serving -- and
+    // drains cleanly -- when the forwarded SIGTERM reaches it.
     fleet::Router router(
         opts, [](const fleet::FleetWorkerContext &ctx) {
-            if (ctx.slot == 0)
-                return 0;
-            return echoWorker(ctx);
+            return echoWorker(ctx, ctx.slot == 0 ? 2 : 0);
         });
-    const int code = router.run();
+    router.start();
+    int code = -1;
+    std::thread loop([&]() { code = router.runLoop(); });
+    EXPECT_EQ(askFleet(opts.socketPath), '0');
+    EXPECT_EQ(askFleet(opts.socketPath), '1');
+    EXPECT_EQ(askFleet(opts.socketPath), '0');
+    loop.join();
     EXPECT_EQ(code, 0);
     const auto slots = router.slotStats();
     ASSERT_EQ(slots.size(), 2u);
     EXPECT_EQ(slots[0].incarnations, 1); // clean exit, no restart
+    EXPECT_EQ(slots[1].incarnations, 1);
+}
+
+// ---------------------------------------------------------------- //
+// One-worker router (`paqocd --supervise`, DESIGN.md §10)          //
+// ---------------------------------------------------------------- //
+
+/** Append one line to the incarnation log (child-side, crash-safe). */
+void
+logIncarnation(const std::string &path, int incarnation)
+{
+    std::ofstream out(path, std::ios::app);
+    out << incarnation << "\n";
+    out.flush();
+}
+
+/** Read the incarnation log, then delete it. */
+std::vector<int>
+takeLog(const std::string &path)
+{
+    std::vector<int> incarnations;
+    {
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line))
+            if (!line.empty())
+                incarnations.push_back(std::stoi(line));
+    }
+    std::filesystem::remove(path);
+    return incarnations;
+}
+
+/** A supervised single worker with the hang watchdog on. */
+fleet::RouterOptions
+superviseOptions()
+{
+    fleet::RouterOptions opts = scratchRouterOptions(1);
+    opts.heartbeatTimeoutMs = 400.0;
+    return opts;
+}
+
+TEST(FleetSupervise, CleanExitStopsSupervision)
+{
+    const std::string log = scratchPath(".log");
+    fleet::Router router(superviseOptions(),
+                         [&](const fleet::FleetWorkerContext &ctx) {
+                             logIncarnation(log, ctx.incarnation);
+                             return 0;
+                         });
+    EXPECT_EQ(router.run(), 0);
+    EXPECT_EQ(takeLog(log), (std::vector<int>{0}));
+}
+
+TEST(FleetSupervise, CrashedWorkerRestartsAndServes)
+{
+    const std::string log = scratchPath(".log");
+    fleet::Router router(superviseOptions(),
+                         [&](const fleet::FleetWorkerContext &ctx) {
+                             logIncarnation(log, ctx.incarnation);
+                             if (ctx.incarnation == 0)
+                                 std::_Exit(3); // crash before serving
+                             return 0;
+                         });
+    EXPECT_EQ(router.run(), 0);
+    EXPECT_EQ(takeLog(log), (std::vector<int>{0, 1}));
+}
+
+TEST(FleetSupervise, SignalDeathAlsoCountsAsCrash)
+{
+    const std::string log = scratchPath(".log");
+    fleet::Router router(superviseOptions(),
+                         [&](const fleet::FleetWorkerContext &ctx) {
+                             logIncarnation(log, ctx.incarnation);
+                             if (ctx.incarnation == 0)
+                                 std::raise(SIGKILL);
+                             return 0;
+                         });
+    EXPECT_EQ(router.run(), 0);
+    EXPECT_EQ(takeLog(log), (std::vector<int>{0, 1}));
+}
+
+TEST(FleetSupervise, RestartBudgetBoundsTheLoop)
+{
+    const std::string log = scratchPath(".log");
+    fleet::RouterOptions opts = superviseOptions();
+    opts.maxRestarts = 2;
+    fleet::Router router(opts, [&](const fleet::FleetWorkerContext &ctx) {
+        logIncarnation(log, ctx.incarnation);
+        return 7; // persistently broken worker
+    });
+    // The router hands back the worker's last status and runs it
+    // exactly 1 + maxRestarts times.
+    EXPECT_EQ(router.run(), 7);
+    EXPECT_EQ(takeLog(log), (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(router.slotStats()[0].incarnations, 3);
+}
+
+TEST(FleetSupervise, StopExitsWithTheWorkersDrainStatus)
+{
+    // After a forwarded stop the router reports how the worker went:
+    // 0 for a clean drain, 128+signum for a worker the signal killed.
+    for (const bool drains : {true, false}) {
+        const fleet::RouterOptions opts = scratchRouterOptions(1);
+        fleet::Router router(
+            opts, [drains](const fleet::FleetWorkerContext &ctx) {
+                if (drains)
+                    return echoWorker(ctx);
+                for (;;)
+                    ::pause(); // SIGTERM keeps its default action
+            });
+        router.start();
+        int code = -1;
+        std::thread loop([&]() { code = router.runLoop(); });
+        // An answer proves the draining worker is watching for SIGTERM.
+        if (drains) {
+            EXPECT_EQ(askFleet(opts.socketPath), '0');
+        }
+        router.requestStop();
+        loop.join();
+        EXPECT_EQ(code, drains ? 0 : 128 + SIGTERM);
+    }
+}
+
+TEST(FleetSuperviseHang, SilentWorkerIsKilledAndRestarted)
+{
+    const std::string log = scratchPath(".log");
+    fleet::Router router(
+        superviseOptions(), [&](const fleet::FleetWorkerContext &ctx) {
+            logIncarnation(log, ctx.incarnation);
+            if (ctx.incarnation == 0) {
+                // Alive but never beating: the router must SIGKILL
+                // this incarnation once the heartbeat timeout passes.
+                std::this_thread::sleep_for(std::chrono::seconds(30));
+                return 0;
+            }
+            fleet::HeartbeatThread beat(ctx.heartbeatFd,
+                                        ctx.heartbeatIntervalMs);
+            std::this_thread::sleep_for(std::chrono::milliseconds(600));
+            return 0;
+        });
+    EXPECT_EQ(router.run(), 0);
+    // Incarnation 1 outlived the heartbeat timeout because it beat.
+    EXPECT_EQ(takeLog(log), (std::vector<int>{0, 1}));
+}
+
+/**
+ * Run a beating one-worker router with PAQOC_WORKER_FAILPOINTS=spec:
+ * the spec arms inside incarnation 0 only, whose beats must then read
+ * as a hang (killed, restarted), while incarnation 1 -- same code
+ * path, no failpoint -- beats normally and finishes.
+ */
+void
+expectFailpointReadsAsHangOnce(const std::string &spec)
+{
+    const std::string log = scratchPath(".log");
+    ::setenv("PAQOC_WORKER_FAILPOINTS", spec.c_str(), 1);
+    fleet::Router router(
+        superviseOptions(), [&](const fleet::FleetWorkerContext &ctx) {
+            logIncarnation(log, ctx.incarnation);
+            fleet::HeartbeatThread beat(ctx.heartbeatFd,
+                                        ctx.heartbeatIntervalMs);
+            // Long enough that a stalled incarnation is reliably
+            // killed before it can exit cleanly on its own.
+            std::this_thread::sleep_for(std::chrono::milliseconds(
+                ctx.incarnation == 0 ? 30000 : 600));
+            return 0;
+        });
+    const int code = router.run();
+    ::unsetenv("PAQOC_WORKER_FAILPOINTS");
+    EXPECT_EQ(code, 0);
+    EXPECT_EQ(takeLog(log), (std::vector<int>{0, 1}));
+}
+
+TEST(FleetSuperviseHang, StallFailpointArmsInFirstIncarnationOnly)
+{
+    // heartbeat.stall skips the beat: a wedged worker.
+    expectFailpointReadsAsHangOnce("heartbeat.stall=return-error");
+}
+
+TEST(FleetSuperviseHang, FailedHeartbeatWriteReadsAsHang)
+{
+    // heartbeat.write fails the byte write itself.
+    expectFailpointReadsAsHangOnce("heartbeat.write=return-error");
+}
+
+TEST(FleetSupervise, HeartbeatIsInertOutsideARouter)
+{
+    // paqocd runs the same serve() body with and without a router; a
+    // default context must make the heartbeat a no-op.
+    const fleet::FleetWorkerContext ctx;
+    EXPECT_EQ(ctx.heartbeatFd, -1);
+    fleet::HeartbeatThread beat(ctx.heartbeatFd, ctx.heartbeatIntervalMs);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
 }
 
 } // namespace

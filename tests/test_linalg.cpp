@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -397,6 +399,43 @@ TEST(UnitaryUtil, DistinctUnitariesAreDistant)
     const Matrix x{{0.0, 1.0}, {1.0, 0.0}};
     EXPECT_FALSE(equalUpToGlobalPhase(x, Matrix::identity(2)));
     EXPECT_GT(phaseInvariantDistance(x, Matrix::identity(2)), 0.5);
+}
+
+TEST(UnitaryUtil, ConcurrentFirstPauliSplitNormsAgree)
+{
+    // The first pauliSplitNorms calls of a process build the Pauli
+    // tables; a daemon serving clients right after start-up makes them
+    // concurrently. Every thread must see fully built tables and get
+    // the serial answer (the TSan lane also checks for a data race).
+    Rng rng(2024);
+    std::vector<Matrix> targets; // targets[n - 1] acts on n qubits
+    for (int n = 1; n <= 4; ++n)
+        targets.push_back(randomUnitary(std::size_t{1} << n, rng));
+    const auto norms = [&](int n) {
+        const PauliSplitNorms r =
+            pauliSplitNorms(targets[static_cast<std::size_t>(n - 1)], n);
+        return std::vector<double>{r.localNorm, r.entanglingNorm,
+                                   r.adjacentPairNorm, r.hardNorm};
+    };
+    // Each thread starts at a different width, so the first touches
+    // of every table overlap.
+    constexpr int kThreads = 4;
+    std::vector<std::vector<std::vector<double>>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t]() {
+            for (int k = 0; k < 4; ++k)
+                got[static_cast<std::size_t>(t)].push_back(
+                    norms(1 + (t + k) % 4));
+        });
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        for (int k = 0; k < 4; ++k)
+            EXPECT_EQ(got[static_cast<std::size_t>(t)]
+                         [static_cast<std::size_t>(k)],
+                      norms(1 + (t + k) % 4))
+                << "thread " << t << ", call " << k;
 }
 
 } // namespace

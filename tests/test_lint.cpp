@@ -272,7 +272,7 @@ TEST(Lint, RawIoAllowlistsTheFdPassingShim)
 TEST(Lint, ProcessControlFlaggedEverywhereButTheSupervisor)
 {
     // The rule is tree-wide: library, tool, and test code all have to
-    // delegate child-process lifetime to runSupervised.
+    // delegate child-process lifetime to the fleet Router.
     const auto lib =
         lintFile("src/service/fixture.cpp", fixture("bad_process.cc"));
     EXPECT_EQ(linesOf(lib, "process-control"),
@@ -282,14 +282,18 @@ TEST(Lint, ProcessControlFlaggedEverywhereButTheSupervisor)
     EXPECT_EQ(linesOf(tool, "process-control"),
               (std::vector<int>{10, 11, 12, 13}));
 
-    // The supervisor itself (header and implementation) is the one
-    // audited home for these syscalls.
-    const auto sup_cpp = lintFile("src/service/supervisor.cpp",
+    // The router (header and implementation) is the one audited home
+    // for these syscalls; src/service/ has none.
+    const auto router_cpp =
+        lintFile("src/fleet/router.cpp", fixture("bad_process.cc"));
+    EXPECT_TRUE(linesOf(router_cpp, "process-control").empty());
+    const auto router_h =
+        lintFile("src/fleet/router.h", fixture("bad_process.cc"));
+    EXPECT_TRUE(linesOf(router_h, "process-control").empty());
+    const auto old_sup = lintFile("src/service/supervisor.cpp",
                                   fixture("bad_process.cc"));
-    EXPECT_TRUE(linesOf(sup_cpp, "process-control").empty());
-    const auto sup_h = lintFile("src/service/supervisor.h",
-                                fixture("bad_process.cc"));
-    EXPECT_TRUE(linesOf(sup_h, "process-control").empty());
+    EXPECT_EQ(linesOf(old_sup, "process-control"),
+              (std::vector<int>{10, 11, 12, 13}));
 }
 
 TEST(Lint, StringAndCommentTokensNeverTrip)

@@ -285,18 +285,19 @@ TEST(PulseCache, GlobalPhaseMapsToSameKey)
               PulseCache::canonicalKey(phased, 2));
 }
 
-TEST(PulseCache, QubitReversalMapsToSameKey)
+TEST(PulseCache, QubitReversalKeepsDistinctKeys)
 {
-    // Section V-B: the same customized gate with permuted qubits is
-    // detected. On a path, reversal is the valid relabeling.
+    // A pulse drives its qubits in the order it was derived for, so a
+    // unitary and its qubit-reversed twin must not share a cache
+    // entry: serving CX(0->1)'s pulse for CX(1->0) plays the wrong
+    // gate.
     const Matrix cx01 = Gate(Op::CX, {0, 1}).unitary();
-    const Matrix cx10 = Gate(Op::CX, {1, 0}).unitary();
-    // cx10's matrix over (q1 q0) ordering is the bit-reversed cx01.
-    Circuit c(2);
-    c.cx(1, 0);
-    EXPECT_EQ(PulseCache::canonicalKey(cx01, 2),
-              PulseCache::canonicalKey(circuitUnitary(c), 2));
-    (void)cx10;
+    const Matrix cx10{{1.0, 0.0, 0.0, 0.0},
+                      {0.0, 0.0, 0.0, 1.0},
+                      {0.0, 0.0, 1.0, 0.0},
+                      {0.0, 1.0, 0.0, 0.0}};
+    EXPECT_NE(PulseCache::canonicalKey(cx01, 2),
+              PulseCache::canonicalKey(cx10, 2));
 }
 
 TEST(PulseCache, DistinctGatesDistinctKeys)

@@ -151,6 +151,28 @@ TEST(Sim, GrapeBackendPropagatesRealPulses)
     EXPECT_GT(r.makespan, 0.0);
 }
 
+TEST(Sim, ReversedOrientationGateGetsItsOwnPulse)
+{
+    // CX(1->0), written as a custom gate on (q0, q1), is CX(0->1)
+    // with its qubits reversed. A cache that folded the two onto one
+    // key served CX(0->1)'s stored pulse for it, unmirrored, and this
+    // circuit simulated to a process fidelity of 0.06.
+    GrapeOptions opts;
+    opts.maxIterations = 300;
+    GrapePulseGenerator gen(opts);
+    const Gate cx01(Op::CX, {0, 1});
+    gen.generate(cx01.unitary(), 2);
+    const Matrix cx10{{1.0, 0.0, 0.0, 0.0},
+                      {0.0, 0.0, 0.0, 1.0},
+                      {0.0, 0.0, 1.0, 0.0},
+                      {0.0, 1.0, 0.0, 0.0}};
+    Circuit c(2);
+    c.add(cx01);
+    c.add(Gate::custom("cx10", {0, 1}, cx10, 1, 1000.0));
+    const SimResult r = simulateCircuitPulses(c, gen);
+    EXPECT_GT(r.processFidelity, 0.99);
+}
+
 TEST(Sim, ShorterScheduleScoresBetterQuality)
 {
     // Same circuit compiled two ways: merged (shorter) must win on

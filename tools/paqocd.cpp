@@ -18,9 +18,9 @@
  *     --max-queue N        admitted-but-unfinished request cap
  *     --deadline-ms N      default per-request deadline (0 = none)
  *     --sync-every-append  fsync the journal after every record
- *     --supervise          fork a supervised worker; restart on crash
+ *     --supervise          same as --fleet 1: one supervised worker,
+ *                          restarted on crash or hang
  *     --fleet N            fork N workers behind a connection router
- *                          (mutually exclusive with --supervise)
  *     --max-restarts N     restart budget per worker (default 5)
  *     --heartbeat-timeout-ms N  silence before a worker counts as hung
  *     --checkpoint-every N GRAPE iterations between checkpoints
@@ -53,8 +53,8 @@
  *
  * SIGINT/SIGTERM shut down gracefully: in-flight requests finish, the
  * library is compacted into a snapshot, then the process exits. Under
- * --supervise (or --fleet) the signal lands on the supervising parent,
- * which forwards it and waits for the drain.
+ * --fleet (or --supervise) the signal lands on the router, which
+ * forwards it, waits for the drain and exits with the workers' status.
  */
 
 #include <cerrno>
@@ -79,7 +79,6 @@
 #include "linalg/kernels.h"
 #include "service/server.h"
 #include "service/service.h"
-#include "service/supervisor.h"
 #include "tier/tier_client.h"
 
 namespace {
@@ -96,8 +95,7 @@ struct DaemonOptions
     std::size_t maxQueue = 64;
     double deadlineMs = 0.0;
     bool syncEveryAppend = false;
-    bool supervise = false;
-    int fleet = 0; ///< 0 = single process
+    int fleet = 0; ///< 0 = single process; --supervise = 1
     int maxRestarts = 5;
     double heartbeatTimeoutMs = 5000.0;
     int checkpointEvery = 0;
@@ -133,7 +131,7 @@ usage(int code)
         "  --max-queue N        in-flight request cap (default 64)\n"
         "  --deadline-ms N      default request deadline (0 = none)\n"
         "  --sync-every-append  fsync the journal per record\n"
-        "  --supervise          restart the serving worker on crash\n"
+        "  --supervise          same as --fleet 1\n"
         "  --fleet N            fork N workers behind a router\n"
         "  --max-restarts N     restart budget per worker (default 5)\n"
         "  --heartbeat-timeout-ms N  hung-worker kill threshold\n"
@@ -210,7 +208,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--sync-every-append")
             opts.syncEveryAppend = true;
         else if (arg == "--supervise")
-            opts.supervise = true;
+            opts.fleet = 1;
         else if (arg == "--fleet")
             opts.fleet = std::stoi(next());
         else if (arg == "--fair-share")
@@ -353,16 +351,15 @@ printCheckpoints(const CheckpointStore *store)
 }
 
 /**
- * Run one serving process. `control_fd` / `slot` are the fleet-worker
- * parameters (-1 = standalone or --supervise): a fleet worker owns no
- * listeners of its own -- the router feeds it accepted connections
- * over the control socket -- and keeps its durable state in a
- * per-slot library subdirectory so concurrent workers never share a
- * journal writer.
+ * Run one serving process. Under a router (ctx.controlFd >= 0) the
+ * worker owns no listeners of its own -- the router feeds it accepted
+ * connections over the control socket. Fleets of two or more keep
+ * each slot's durable state in a per-slot library subdirectory so
+ * concurrent workers never share a journal writer; a one-worker fleet
+ * (--supervise) serves --library DIR itself.
  */
 int
-serve(const DaemonOptions &opts, const WorkerContext &ctx,
-      int control_fd = -1, int slot = -1)
+serve(const DaemonOptions &opts, const fleet::FleetWorkerContext &ctx)
 {
     if (opts.threads > 0)
         ThreadPool::setGlobalThreads(
@@ -370,12 +367,13 @@ serve(const DaemonOptions &opts, const WorkerContext &ctx,
 
     // Beat as soon as the worker is alive -- library recovery below
     // can legitimately take a while, and must not read as a hang.
-    HeartbeatThread heartbeat(ctx.heartbeatFd, ctx.heartbeatIntervalMs);
+    fleet::HeartbeatThread heartbeat(ctx.heartbeatFd,
+                                     ctx.heartbeatIntervalMs);
 
     ServiceOptions sopts;
     sopts.libraryDir = opts.libraryDir;
-    if (slot >= 0 && !sopts.libraryDir.empty())
-        sopts.libraryDir += "/worker" + std::to_string(slot);
+    if (opts.fleet > 1 && !sopts.libraryDir.empty())
+        sopts.libraryDir += "/worker" + std::to_string(ctx.slot);
     sopts.syncEveryAppend = opts.syncEveryAppend;
     sopts.checkpointEvery = opts.checkpointEvery;
     sopts.checkpointDir = opts.checkpointDir;
@@ -448,12 +446,12 @@ serve(const DaemonOptions &opts, const WorkerContext &ctx,
                     opts.tierReplica.c_str());
 
     ServerOptions server_opts;
-    if (slot < 0) {
+    if (ctx.controlFd < 0) {
         server_opts.socketPath = opts.socketPath;
         server_opts.listenHost = opts.listenHost;
         server_opts.listenPort = opts.listenPort;
     }
-    server_opts.controlFd = control_fd;
+    server_opts.controlFd = ctx.controlFd;
     server_opts.maxQueue = opts.maxQueue;
     server_opts.defaultDeadlineMs = opts.deadlineMs;
     server_opts.fairShare = opts.fairShare;
@@ -487,10 +485,11 @@ serve(const DaemonOptions &opts, const WorkerContext &ctx,
     }
 
     server.start();
-    if (slot >= 0)
+    if (ctx.controlFd >= 0)
         std::printf("paqocd: worker %d serving via router "
                     "(%u threads, queue %zu)\n",
-                    slot, ThreadPool::global().size(), opts.maxQueue);
+                    ctx.slot, ThreadPool::global().size(),
+                    opts.maxQueue);
     else
         std::printf("paqocd: serving on %s (%u threads, queue %zu)\n",
                     opts.socketPath.c_str(),
@@ -565,59 +564,35 @@ main(int argc, char **argv)
 {
     try {
         const DaemonOptions opts = parseArgs(argc, argv);
-        if (opts.fleet > 0 && opts.supervise) {
-            std::fprintf(stderr, "paqocd: --fleet and --supervise are "
-                                 "mutually exclusive\n");
-            usage(2);
-        }
-        if (opts.fleet > 0) {
-            fleet::RouterOptions router_opts;
-            router_opts.socketPath = opts.socketPath;
-            router_opts.listenHost = opts.listenHost;
-            router_opts.listenPort = opts.listenPort;
-            router_opts.workers = opts.fleet;
-            router_opts.maxRestarts = opts.maxRestarts;
-            router_opts.heartbeatTimeoutMs = opts.heartbeatTimeoutMs;
-            router_opts.log = [](const std::string &message) {
-                std::printf("paqocd-router: %s\n", message.c_str());
-                std::fflush(stdout);
-            };
-            fleet::Router router(
-                router_opts,
-                [&opts](const fleet::FleetWorkerContext &ctx) {
-                    WorkerContext wctx;
-                    wctx.incarnation = ctx.incarnation;
-                    wctx.heartbeatFd = ctx.heartbeatFd;
-                    wctx.heartbeatIntervalMs = ctx.heartbeatIntervalMs;
-                    return serve(opts, wctx, ctx.controlFd, ctx.slot);
-                });
-            router.start();
-            if (router.tcpPort() >= 0) {
-                std::printf("paqocd: tcp port %d\n",
-                            router.tcpPort());
-                std::fflush(stdout);
-            }
-            const int code = router.runLoop();
-            const auto slots = router.slotStats();
-            for (std::size_t i = 0; i < slots.size(); ++i)
-                std::printf("paqocd-router: worker %zu: "
-                            "%d incarnations, %ld connections\n",
-                            i, slots[i].incarnations,
-                            slots[i].handed);
-            return code;
-        }
-        if (!opts.supervise)
-            return serve(opts, WorkerContext{});
-        SupervisorOptions sup;
-        sup.maxRestarts = opts.maxRestarts;
-        sup.heartbeatTimeoutMs = opts.heartbeatTimeoutMs;
-        sup.log = [](const std::string &message) {
-            std::printf("paqocd-supervisor: %s\n", message.c_str());
+        if (opts.fleet <= 0)
+            return serve(opts, fleet::FleetWorkerContext{});
+        fleet::RouterOptions router_opts;
+        router_opts.socketPath = opts.socketPath;
+        router_opts.listenHost = opts.listenHost;
+        router_opts.listenPort = opts.listenPort;
+        router_opts.workers = opts.fleet;
+        router_opts.maxRestarts = opts.maxRestarts;
+        router_opts.heartbeatTimeoutMs = opts.heartbeatTimeoutMs;
+        router_opts.log = [](const std::string &message) {
+            std::printf("paqocd-router: %s\n", message.c_str());
             std::fflush(stdout);
         };
-        return runSupervised(sup, [&opts](const WorkerContext &ctx) {
-            return serve(opts, ctx);
-        });
+        fleet::Router router(
+            router_opts, [&opts](const fleet::FleetWorkerContext &ctx) {
+                return serve(opts, ctx);
+            });
+        router.start();
+        if (router.tcpPort() >= 0) {
+            std::printf("paqocd: tcp port %d\n", router.tcpPort());
+            std::fflush(stdout);
+        }
+        const int code = router.runLoop();
+        const auto slots = router.slotStats();
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            std::printf("paqocd-router: worker %zu: "
+                        "%d incarnations, %ld connections\n",
+                        i, slots[i].incarnations, slots[i].handed);
+        return code;
     } catch (const paqoc::FatalError &e) {
         std::fprintf(stderr, "paqocd: %s\n", e.what());
         return 1;
