@@ -27,6 +27,7 @@
 
 #include "common/json.h"
 #include "common/thread_annotations.h"
+#include "common/thread_pool.h"
 #include "fleet/router.h"
 #include "harness.h"
 #include "service/client.h"
@@ -46,13 +47,17 @@ nowMs()
 
 /**
  * Fleet worker body: a SocketServer fed by the router's control
- * socket, over a per-slot pulse library. Exits 0 when the router
- * closes the control channel (drain-aware shutdown).
+ * socket, over a per-slot pulse library, on its share of the cores as
+ * a `paqocd --fleet` worker. Exits 0 when the router closes the
+ * control channel (drain-aware shutdown).
  */
 int
 runWorker(const fleet::FleetWorkerContext &ctx,
-          const std::string &library_dir)
+          const std::string &library_dir, int workers)
 {
+    ThreadPool::setGlobalThreads(
+        std::max(1u, ThreadPool::defaultThreads()
+                         / static_cast<unsigned>(workers)));
     ServiceOptions sopts;
     sopts.libraryDir =
         library_dir + "/worker" + std::to_string(ctx.slot);
@@ -114,8 +119,8 @@ measureFleet(int workers, const std::string &scratch,
     ropts.workers = workers;
     ropts.heartbeatTimeoutMs = 0.0; // bench workers do not beat
     fleet::Router router(
-        ropts, [&library](const fleet::FleetWorkerContext &ctx) {
-            return runWorker(ctx, library);
+        ropts, [&library, workers](const fleet::FleetWorkerContext &ctx) {
+            return runWorker(ctx, library, workers);
         });
     router.start(); // forks: must precede every thread below
     std::thread monitor([&router]() { router.runLoop(); });

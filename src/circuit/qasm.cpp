@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <sstream>
 
@@ -71,6 +72,39 @@ parseAngle(const std::string &text, int line_no)
     return sign * value;
 }
 
+/**
+ * An angle spelled so that parseAngle reads back the identical double:
+ * `[-][k*]pi[/b]` when such a fraction exists (small denominators
+ * first, so the text stays readable), else 17 significant digits.
+ */
+std::string
+formatAngle(double angle)
+{
+    const double mag = std::fabs(angle);
+    for (long b = 1; mag > 0.0 && b <= (1L << 20);
+         b = b < 64 ? b + 1 : b * 2) {
+        const double multiple = mag * static_cast<double>(b) / kPi;
+        // Beyond 2^53 (or at inf) no k is exact; it only grows with b.
+        if (!(multiple <= 0x1p53))
+            break;
+        // A cheap filter; reading the text back is the exact test.
+        const double k = std::round(multiple);
+        if (k < 1.0 || std::fabs(multiple - k) > 1e-6)
+            continue;
+        std::string text = angle < 0.0 ? "-" : "";
+        if (k != 1.0)
+            text += std::to_string(static_cast<long>(k)) + "*";
+        text += "pi";
+        if (b != 1)
+            text += "/" + std::to_string(b);
+        if (parseAngle(text, 0) == angle)
+            return text;
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", angle);
+    return buf;
+}
+
 } // namespace
 
 std::string
@@ -85,10 +119,8 @@ toQasm(const Circuit &circuit)
                        "custom gate '", g.label(),
                        "' has no QASM 2.0 spelling");
         oss << qasmName(g.op());
-        if (opHasAngle(g.op())) {
-            oss.precision(12);
-            oss << '(' << g.angle() << ')';
-        }
+        if (opHasAngle(g.op()))
+            oss << '(' << formatAngle(g.angle()) << ')';
         for (std::size_t i = 0; i < g.qubits().size(); ++i)
             oss << (i == 0 ? " " : ",") << "q[" << g.qubits()[i] << "]";
         oss << ";\n";

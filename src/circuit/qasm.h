@@ -10,7 +10,9 @@ namespace paqoc {
 /**
  * Serialize a circuit as OpenQASM 2.0. Custom (merged/APA) gates
  * cannot be expressed in QASM 2.0 and raise FatalError; export before
- * compilation or after lowering to primitives.
+ * compilation or after lowering to primitives. Angles are written
+ * exactly (`k*pi/b` or 17 significant digits), so fromQasm reads every
+ * angle back bit for bit.
  */
 std::string toQasm(const Circuit &circuit);
 

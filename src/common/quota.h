@@ -95,10 +95,12 @@ class QuotaExceededError : public FatalError
  * degrade mode (degradeOnExceeded) the optimizer instead stops early
  * and hands back its best effort through the stitched-fallback path.
  *
- * Thread-safe: trials charge concurrently from the thread pool. Which
- * trial observes the trip first depends on scheduling, but whether the
- * request as a whole trips is a function of total work vs. budget, and
- * a tripped hard token always surfaces as the same structured error.
+ * Thread-safe: trials may charge concurrently from the thread pool.
+ * Which trial observes the trip first then depends on scheduling, and
+ * so do the iterations charged by then, which limit trips first and
+ * where each degraded trial stopped; the service therefore derives
+ * without a pool any request that can trip on counted work or that
+ * degrades.
  */
 class QuotaToken
 {

@@ -4,12 +4,6 @@
 
 namespace paqoc {
 
-namespace {
-
-thread_local bool tls_on_worker = false;
-
-} // namespace
-
 ThreadPool::ThreadPool(unsigned threads)
 {
     if (threads == 0)
@@ -42,9 +36,32 @@ ThreadPool::post(std::function<void()> task)
 }
 
 void
+ThreadPool::postToFreeWorkers(const std::function<void()> &task,
+                              std::size_t max)
+{
+    std::size_t count = 0;
+    {
+        MutexLock lock(mutex_);
+        const std::size_t claimed = busy_ + queue_.size();
+        if (claimed < workers_.size())
+            count = std::min(max, workers_.size() - claimed);
+        for (std::size_t i = 0; i < count; ++i)
+            queue_.push_back(task);
+    }
+    for (std::size_t i = 0; i < count; ++i)
+        cv_.notify_one();
+}
+
+bool
+ThreadPool::backlogged()
+{
+    MutexLock lock(mutex_);
+    return busy_ + queue_.size() > workers_.size();
+}
+
+void
 ThreadPool::workerLoop()
 {
-    tls_on_worker = true;
     for (;;) {
         std::function<void()> task;
         {
@@ -55,15 +72,12 @@ ThreadPool::workerLoop()
                 return; // stop_ set and nothing left to run
             task = std::move(queue_.front());
             queue_.pop_front();
+            ++busy_;
         }
         task();
+        MutexLock lock(mutex_);
+        --busy_;
     }
-}
-
-bool
-ThreadPool::onWorkerThread()
-{
-    return tls_on_worker;
 }
 
 unsigned

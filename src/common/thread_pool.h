@@ -21,9 +21,11 @@ namespace paqoc {
  * Fixed-size worker pool behind all parallelism in the compiler: batch
  * pulse generation, concurrent GRAPE duration probes, and the blocked
  * gemm. Tasks are plain queued closures; parallelFor additionally lets
- * the calling thread execute chunks itself, so a pool of size 1 (or a
- * call made from inside a worker) degrades to an ordinary serial loop
- * instead of deadlocking.
+ * the calling thread run loop iterations itself and hands the rest
+ * only to free workers, so a pool of size 1 is an ordinary serial
+ * loop, a busy pool leaves the whole loop to its caller, and a call
+ * made from inside a worker (a daemon request's duration probes, say)
+ * fans out onto the idle workers without deadlocking.
  *
  * Determinism contract: the pool schedules *when* work runs, never
  * *what* work runs. Every parallel site in the compiler derives its
@@ -57,23 +59,23 @@ class ThreadPool
     }
 
     /**
-     * Run body(i) for every i in [0, n), `grain` consecutive indices
-     * per task. The caller participates (it drains chunks alongside
-     * the workers), and a call made from inside a pool worker runs
-     * inline serially -- nested parallelism never deadlocks, it just
-     * flattens. The first exception thrown by any chunk is rethrown on
-     * the caller once all chunks finished.
+     * Run body(i) for every i in [0, n), one index at a time. The
+     * caller participates: it drains indices alongside helper tasks
+     * posted only to free workers (neither running a task nor claimed
+     * by a queued one), then waits only for indices another thread has
+     * already started. A helper stops taking indices once queued tasks
+     * outnumber the free workers, so work submitted meanwhile (another
+     * daemon request, say) waits only for the index a helper is
+     * running, not for the rest of the loop. Nesting -- a call from
+     * inside a pool worker, even with every worker nested -- never
+     * deadlocks. The first exception thrown by any body is rethrown on
+     * the caller once all finished.
      */
     template <typename F>
     void
-    parallelFor(std::size_t n, F &&body, std::size_t grain = 1)
+    parallelFor(std::size_t n, F &&body)
     {
-        if (n == 0)
-            return;
-        if (grain == 0)
-            grain = 1;
-        const std::size_t chunks = (n + grain - 1) / grain;
-        if (size() <= 1 || chunks <= 1 || onWorkerThread()) {
+        if (size() <= 1 || n <= 1) {
             for (std::size_t i = 0; i < n; ++i)
                 body(i);
             return;
@@ -83,7 +85,6 @@ class ThreadPool
         {
             std::atomic<std::size_t> next{0};
             std::size_t n = 0;
-            std::size_t grain = 1;
             std::function<void(std::size_t)> body;
             Mutex mutex;
             CondVar cv;
@@ -92,37 +93,34 @@ class ThreadPool
         };
         auto st = std::make_shared<State>();
         st->n = n;
-        st->grain = grain;
         st->body = std::forward<F>(body);
 
-        auto drain = [](const std::shared_ptr<State> &s) {
+        // `pool` is null for the caller, which must drain to the end.
+        auto drain = [](const std::shared_ptr<State> &s, ThreadPool *pool) {
             for (;;) {
-                const std::size_t begin =
-                    s->next.fetch_add(s->grain, std::memory_order_relaxed);
-                if (begin >= s->n)
+                if (pool != nullptr && pool->backlogged())
                     return;
-                const std::size_t end = std::min(begin + s->grain, s->n);
+                const std::size_t i =
+                    s->next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= s->n)
+                    return;
                 std::exception_ptr err;
                 try {
-                    for (std::size_t i = begin; i < end; ++i)
-                        s->body(i);
+                    s->body(i);
                 } catch (...) {
                     err = std::current_exception();
                 }
                 MutexLock lock(s->mutex);
                 if (err && !s->error)
                     s->error = err;
-                s->done += end - begin;
-                if (s->done == s->n)
+                if (++s->done == s->n)
                     s->cv.notify_all();
             }
         };
 
-        const std::size_t helpers =
-            std::min<std::size_t>(size(), chunks) - 1;
-        for (std::size_t h = 0; h < helpers; ++h)
-            post([st, drain]() { drain(st); });
-        drain(st);
+        postToFreeWorkers([st, drain, this]() { drain(st, this); },
+                          std::min<std::size_t>(size(), n) - 1);
+        drain(st, nullptr);
 
         MutexLock lock(st->mutex);
         while (st->done != st->n)
@@ -130,9 +128,6 @@ class ThreadPool
         if (st->error)
             std::rethrow_exception(st->error);
     }
-
-    /** True when the current thread is a worker of any ThreadPool. */
-    static bool onWorkerThread();
 
     /**
      * The process-wide pool (default size: hardware_concurrency).
@@ -147,12 +142,20 @@ class ThreadPool
 
   private:
     void post(std::function<void()> task);
+    /** Queue up to `max` copies of `task`, no more than there are free
+     *  workers to run them at once. */
+    void postToFreeWorkers(const std::function<void()> &task,
+                           std::size_t max);
+    /** True when queued tasks outnumber the free workers. */
+    bool backlogged();
     void workerLoop();
 
     std::vector<std::thread> workers_;
     Mutex mutex_;
     CondVar cv_;
     std::deque<std::function<void()>> queue_ PAQOC_GUARDED_BY(mutex_);
+    /** Workers running a task. */
+    std::size_t busy_ PAQOC_GUARDED_BY(mutex_) = 0;
     bool stop_ PAQOC_GUARDED_BY(mutex_) = false;
 };
 

@@ -54,7 +54,6 @@ class GrapeRun
         v_.assign(u_.size(), std::vector<double>(n_controls_, 0.0));
         props_.resize(u_.size());
         prefix_.resize(u_.size());
-        hk_scratch_.resize(n_controls_);
         identity_ = Matrix::identity(dim_);
     }
 
@@ -149,7 +148,7 @@ class GrapeRun
     // cannot change results.
     std::vector<Matrix> props_;      // slice propagators U_t
     std::vector<Matrix> prefix_;     // prefix products F_t
-    std::vector<Matrix> hk_scratch_; // per-control H_k * F_t
+    Matrix hk_f_;                    // H_k * F_t of one control
     Matrix identity_;
     Matrix h_;   // slice Hamiltonian
     Matrix acc_; // forward accumulator
@@ -202,13 +201,8 @@ GrapeRun::fidelityAndGradient(std::vector<std::vector<double>> &grad,
     // of |g|^2/d^2 w.r.t. amplitude u_{t,k} with the first-order
     // propagator derivative -i dt H_k U_t is
     //   (2/d^2) * Re( conj(g) * Tr(R_t * (-i) * H_k * F_t) ).
-    // The controls are independent, so the k-loop fans out across the
-    // pool on the widest (3-qubit) devices; each control writes only
-    // its own grad slot (and its own scratch matrix), keeping results
-    // thread-count-independent.
-    const bool fan_out = rt.pool != nullptr && rt.pool->size() > 1
-        && n_controls_ >= 6;
     r_ = target_adj_;
+    hk_f_.resize(dim_, dim_);
     for (int t = n_slices_ - 1; t >= 0; --t) {
         const auto ts = static_cast<std::size_t>(t);
         const Matrix &hf_base = prefix_[ts];
@@ -216,19 +210,12 @@ GrapeRun::fidelityAndGradient(std::vector<std::vector<double>> &grad,
         // trace stream contiguously instead of striding b's columns.
         r_t_.resize(dim_, dim_);
         kernels::transposeInto(r_.data(), r_t_.data(), dim_, dim_);
-        auto one_control = [&](std::size_t k) {
-            Matrix &hk_f = hk_scratch_[k];
-            hk_f.resize(dim_, dim_);
-            matmulInto(device_.control(k), hf_base, hk_f);
-            const Complex tr = traceOfProductT(r_t_, hk_f);
+        for (std::size_t k = 0; k < n_controls_; ++k) {
+            matmulInto(device_.control(k), hf_base, hk_f_);
+            const Complex tr = traceOfProductT(r_t_, hk_f_);
             const Complex dgrad = std::conj(g) * (Complex(0, -1) * tr);
             grad[ts][k] = 2.0 * dgrad.real() / (d * d);
-        };
-        if (fan_out)
-            rt.pool->parallelFor(n_controls_, one_control, 2);
-        else
-            for (std::size_t k = 0; k < n_controls_; ++k)
-                one_control(k);
+        }
         tmp_.resize(dim_, dim_);
         matmulInto(r_, props_[ts], tmp_);
         std::swap(r_, tmp_);

@@ -42,9 +42,11 @@ struct GrapeOptions
     /**
      * Candidate slice counts evaluated per round of the minimum-
      * duration search. 1 reproduces the classic sequential binary
-     * search; k >= 2 probes k durations concurrently per round,
-     * shrinking the bracket by k+1 instead of 2. The probe set is a
-     * pure function of the bracket, so results do not depend on the
+     * search; k >= 2 probes k durations per round, shrinking the
+     * bracket by k+1 instead of 2. With a pool the k probes run
+     * concurrently, also when the search itself runs on a pool
+     * worker (every daemon request does). The probe set is a pure
+     * function of the bracket, so results do not depend on the
      * thread count.
      */
     int durationProbes = 3;
@@ -207,9 +209,9 @@ struct GrapeRuntime
  * gradients and ADAM updates; amplitudes are clipped to the per-control
  * bounds each step. An optional initial guess (e.g., a similar cached
  * pulse, per AccQOC) warm-starts the optimization; it is resized to
- * num_slices if needed. When a pool is given, restarts (and the
- * backward-pass gradient loop on 3-qubit devices) run as parallel
- * tasks; results are identical for any pool size.
+ * num_slices if needed. When a pool is given, restarts run as
+ * parallel tasks; each trial's own iterations are serial. Results are
+ * identical for any pool size.
  */
 GrapeResult grapeOptimize(const DeviceModel &device, const Matrix &target,
                           int num_slices, const GrapeOptions &options = {},

@@ -75,10 +75,8 @@ PulseCache::acquire(const Matrix &unitary, int num_qubits)
     MutexLock lock(mutex_);
     for (;;) {
         const auto hit = entries_.find(key);
-        if (hit != entries_.end()) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
+        if (hit != entries_.end())
             return {FlightRole::Hit, hit->second};
-        }
         const auto it = flights_.find(key);
         if (it == flights_.end()) {
             flights_.emplace(key, std::make_shared<Flight>());
@@ -87,10 +85,8 @@ PulseCache::acquire(const Matrix &unitary, int num_qubits)
         const std::shared_ptr<Flight> flight = it->second;
         while (!flight->done)
             flight->cv.wait(mutex_);
-        if (!flight->aborted) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
+        if (!flight->aborted)
             return {FlightRole::Joined, flight->result};
-        }
         // The leader failed; loop and re-race for leadership.
     }
 }
@@ -146,7 +142,6 @@ PulseCache::lookup(const Matrix &unitary, int num_qubits) const
     const auto it = entries_.find(key);
     if (it == entries_.end())
         return nullptr;
-    hits_.fetch_add(1, std::memory_order_relaxed);
     return &it->second;
 }
 

@@ -196,8 +196,6 @@ class PulseCache
         std::uint64_t generation_bound) const;
 
     std::size_t size() const;
-    std::size_t hits() const
-    { return hits_.load(std::memory_order_relaxed); }
 
     /** Count of inserts so far; stamps CachedPulse::generation. */
     std::uint64_t generation() const
@@ -264,7 +262,6 @@ class PulseCache
         PAQOC_GUARDED_BY(mutex_);
     std::unordered_map<std::string, std::shared_ptr<Flight>> flights_
         PAQOC_GUARDED_BY(mutex_);
-    mutable std::atomic<std::size_t> hits_{0};
     std::atomic<std::uint64_t> generation_{0};
     /** Set in single-threaded setup; read under mutex_. */
     PulseStoreSink *sink_ PAQOC_GUARDED_BY(mutex_) = nullptr;

@@ -71,7 +71,8 @@ class PulseGenerator
 
     /**
      * Generate pulses for a whole batch; with a pool, distinct
-     * unitaries run concurrently. Results (including cacheHit and
+     * unitaries run concurrently, and every derivation hands the pool
+     * on to its own duration probes. Results (including cacheHit and
      * costUnits) match a serial generate() loop over the requests.
      */
     std::vector<PulseGenResult> generateBatch(
@@ -241,7 +242,8 @@ class SpectralPulseGenerator : public PulseGenerator
  * (Section V-B / AccQOC-style similarity reuse). Latency estimates for
  * ranking still come from the analytical model so that ranking stays
  * cheap, exactly as the paper prescribes. Duration probes and restarts
- * fan out onto the thread pool passed through generate/generateBatch.
+ * fan out onto the thread pool passed to generateBatch (generate()
+ * passes none).
  */
 class GrapePulseGenerator : public PulseGenerator
 {

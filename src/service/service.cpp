@@ -5,6 +5,7 @@
 
 #include "circuit/qasm.h"
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "qoc/device.h"
 #include "qoc/pulse_io.h"
 #include "service/protocol.h"
@@ -39,6 +40,17 @@ quotaFromRequest(const Json &request)
     q.maxResidentPulses =
         request.get("max_resident_pulses", Json(0)).asInt();
     return q;
+}
+
+/**
+ * Whether a request derives without a pool (see PulseService): its
+ * concurrent trials would charge one token, so a trip on counted work
+ * would land where the schedule puts it.
+ */
+bool
+derivesSerially(const QuotaLimits &limits, bool degrade)
+{
+    return degrade || limits.maxIters > 0 || limits.maxResidentPulses > 0;
 }
 
 } // namespace
@@ -97,7 +109,8 @@ compileJobToJson(const CompileJob &job)
 }
 
 CompileReport
-runCompileJob(const CompileJob &job, PulseGenerator &generator)
+runCompileJob(const CompileJob &job, PulseGenerator &generator,
+              int threads)
 {
     const Topology topology = topologyFromSpec(job.topology);
     Circuit physical{1};
@@ -114,6 +127,7 @@ runCompileJob(const CompileJob &job, PulseGenerator &generator)
         AccqocOptions opts;
         opts.maxN = job.maxn;
         opts.depth = job.depth;
+        opts.threads = threads;
         return compileAccqoc(physical, generator, opts);
     }
     PaqocOptions opts;
@@ -126,6 +140,7 @@ runCompileJob(const CompileJob &job, PulseGenerator &generator)
     opts.merge.maxN = job.maxn;
     opts.miner.maxQubits = job.maxn;
     opts.merge.commutativityAware = job.commute;
+    opts.threads = threads;
     return compilePaqoc(physical, generator, opts);
 }
 
@@ -315,13 +330,14 @@ PulseService::handleCompile(const Json &request,
     // charges against the tenant's replenishing budget.
     const QuotaLimits limits =
         resolveQuota(options_.quotaLimits, quotaFromRequest(request));
-    QuotaToken quota(limits,
-                     request.get("degrade_on_quota", Json(false))
-                         .asBool());
+    const bool degrade =
+        request.get("degrade_on_quota", Json(false)).asBool();
+    QuotaToken quota(limits, degrade);
     generator.setQuota(&quota);
     generator.setCancel(cancel);
     prepareCache(generator.cache(), job.backend);
-    const CompileReport report = runCompileJob(job, generator);
+    const CompileReport report = runCompileJob(
+        job, generator, derivesSerially(limits, degrade) ? 1 : 0);
     compiles_.fetch_add(1, std::memory_order_relaxed);
     pulse_calls_.fetch_add(report.pulseCalls,
                            std::memory_order_relaxed);
@@ -374,14 +390,17 @@ PulseService::handleGenerate(const Json &request,
         : static_cast<PulseGenerator &>(spectral);
     const QuotaLimits limits =
         resolveQuota(options_.quotaLimits, quotaFromRequest(request));
-    QuotaToken quota(limits,
-                     request.get("degrade_on_quota", Json(false))
-                         .asBool());
+    const bool degrade =
+        request.get("degrade_on_quota", Json(false)).asBool();
+    QuotaToken quota(limits, degrade);
     generator.setQuota(&quota);
     generator.setCancel(cancel);
     prepareCache(generator.cache(), backend);
+    ThreadPool *pool = derivesSerially(limits, degrade)
+        ? nullptr
+        : &ThreadPool::global();
     const PulseGenResult result =
-        generator.generate(unitary, num_qubits);
+        generator.generateBatch({{unitary, num_qubits}}, pool).front();
     generates_.fetch_add(1, std::memory_order_relaxed);
     pulse_calls_.fetch_add(1, std::memory_order_relaxed);
     cache_hits_.fetch_add(result.cacheHit ? 1 : 0,

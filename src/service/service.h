@@ -98,10 +98,13 @@ Json compileJobToJson(const CompileJob &job);
 /**
  * Run a compile job: route the circuit exactly as `paqocc` does
  * (decompose -> SABRE -> hardware basis, or a built-in benchmark) and
- * compile it with the given generator.
+ * compile it with the given generator. `threads` is the compiler's
+ * pulse-engine knob (PaqocOptions::threads: 0 the process-wide pool,
+ * 1 serial); the report is the same for every value unless a quota
+ * trips (see PulseService).
  */
 CompileReport runCompileJob(const CompileJob &job,
-                            PulseGenerator &generator);
+                            PulseGenerator &generator, int threads = 0);
 
 /**
  * The deterministic response payload of a compile job. Everything in
@@ -132,6 +135,15 @@ Json compilePayload(const CompileJob &job, const CompileReport &report,
  * the payloads a serial run produces. Pulses derived while serving
  * still journal into the library; they become visible as cache hits in
  * the *next* daemon launch, whose epoch includes them.
+ *
+ * A request's derivations and duration probes fan out onto the
+ * process-wide pool, except when its token can trip on counted work
+ * (`max_iters` or `max_resident_pulses` in force, including a tenant
+ * budget's) or it degrades (`degrade_on_quota`). Concurrent trials
+ * would each charge the token before seeing the trip, so the hard
+ * error's `limit` and `iters_charged`, or a degraded pulse's bytes,
+ * would depend on the schedule; such requests derive serially and
+ * stay a pure function of the request.
  */
 class PulseService
 {

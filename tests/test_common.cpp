@@ -5,8 +5,11 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,14 +184,86 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 {
     ThreadPool pool(2);
     std::atomic<int> total{0};
-    // Inner parallelFor calls issued from worker threads must degrade
-    // to inline execution instead of queueing behind their own task.
+    // Inner parallelFor calls issued from worker threads fan out too.
+    // Each caller drains its own loop and waits only for iterations
+    // that another thread already started, so an inner loop never
+    // waits on a helper queued behind its own task.
     pool.parallelFor(8, [&](std::size_t) {
         pool.parallelFor(8, [&](std::size_t) {
             total.fetch_add(1, std::memory_order_relaxed);
         });
     });
     EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ThreadPool, NestedParallelForFansOutFromWorkers)
+{
+    // A daemon request runs on a pool worker; the loops inside it
+    // (duration probes, batch derivations) must still reach the idle
+    // workers instead of running on the caller alone.
+    ThreadPool pool(4);
+    Mutex mutex;
+    std::set<std::thread::id> ids;
+    pool.submit([&]() {
+            pool.parallelFor(8, [&](std::size_t) {
+                {
+                    MutexLock lock(mutex);
+                    ids.insert(std::this_thread::get_id());
+                }
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
+            });
+        })
+        .get();
+    EXPECT_GE(ids.size(), 2u);
+}
+
+TEST(ThreadPool, SaturatedNestedParallelForCompletes)
+{
+    // Both workers sit in a nested loop at once, so neither finds a
+    // free worker for helpers: each caller drains its own iterations
+    // and the whole nest still finishes.
+    ThreadPool pool(2);
+    std::atomic<int> entered{0};
+    std::atomic<int> total{0};
+    std::vector<std::future<void>> tasks;
+    for (int t = 0; t < 2; ++t)
+        tasks.push_back(pool.submit([&]() {
+            entered.fetch_add(1);
+            while (entered.load() < 2)
+                std::this_thread::yield();
+            pool.parallelFor(16, [&](std::size_t) {
+                pool.parallelFor(4, [&](std::size_t) {
+                    total.fetch_add(1, std::memory_order_relaxed);
+                });
+            });
+        }));
+    for (std::future<void> &f : tasks)
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(60)),
+                  std::future_status::ready);
+    EXPECT_EQ(total.load(), 2 * 16 * 4);
+}
+
+TEST(ThreadPool, HelpersGiveWayToQueuedTasks)
+{
+    // Once a task waits with no free worker, a loop's helper stops
+    // taking iterations: another daemon request starts after one
+    // iteration, not after the whole loop.
+    ThreadPool pool(2);
+    std::atomic<int> done{0};
+    std::future<void> loop = pool.submit([&]() {
+        pool.parallelFor(40, [&](std::size_t) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            done.fetch_add(1);
+        });
+    });
+    while (done.load() < 2)
+        std::this_thread::yield();
+    const int done_at_start =
+        pool.submit([&]() { return done.load(); }).get();
+    loop.get();
+    EXPECT_EQ(done.load(), 40);
+    EXPECT_LT(done_at_start, 20);
 }
 
 TEST(ThreadPool, ParallelForPropagatesBodyException)

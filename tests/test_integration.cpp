@@ -6,9 +6,16 @@
  * invariants, and cross-compiler comparisons.
  */
 
+#include <bit>
+#include <cctype>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "circuit/contract.h"
+#include "circuit/qasm.h"
 #include "circuit/schedule.h"
 #include "linalg/kernels.h"
 #include "linalg/unitary_util.h"
@@ -322,6 +329,66 @@ TEST(Integration, GrapeCompileReportIndependentOfKernelBackend)
         expectBitIdentical(reports[0], reports[i]);
     }
 }
+
+/**
+ * Latency of a logical program compiled the way a QASM client's
+ * request is: routed on the 5x5 grid, lowered, and compiled at
+ * m = tuned on the spectral backend.
+ */
+double
+tunedSpectralLatency(const Circuit &logical)
+{
+    const RoutingResult routed =
+        sabreRoute(decomposeToCx(logical), Topology::grid(5, 5));
+    PaqocOptions opts;
+    opts.tuned = true;
+    opts.threads = 1;
+    SpectralPulseGenerator gen;
+    return compilePaqoc(decomposeToBasis(routed.physical), gen, opts)
+        .latency;
+}
+
+class TableOneQasm : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(TableOneQasm, RoundTripIsExact)
+{
+    // A program sent as QASM text must compile exactly as the program
+    // itself. qpe is the sensitive one: its angles printed to 12
+    // digits compile to 3520 dt instead of 3508 dt.
+    const Circuit logical = wl::makeLogical(GetParam());
+    const Circuit back = fromQasm(toQasm(logical));
+    ASSERT_EQ(back.size(), logical.size());
+    int inexact = 0;
+    for (std::size_t i = 0; i < logical.size(); ++i) {
+        const Gate &a = logical.gate(i);
+        const Gate &b = back.gate(i);
+        ASSERT_EQ(a.op(), b.op()) << "gate " << i;
+        ASSERT_EQ(a.qubits(), b.qubits()) << "gate " << i;
+        if (std::bit_cast<std::uint64_t>(a.angle())
+                != std::bit_cast<std::uint64_t>(b.angle())
+            && inexact++ == 0)
+            ADD_FAILURE() << "gate " << i << ": " << a.angle()
+                          << " read back as " << b.angle();
+    }
+    EXPECT_EQ(inexact, 0) << "angles read back inexactly";
+    EXPECT_EQ(tunedSpectralLatency(logical), tunedSpectralLatency(back));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPrograms, TableOneQasm,
+    ::testing::ValuesIn([] {
+        std::vector<std::string> names;
+        for (const wl::BenchmarkSpec &spec : wl::allBenchmarks())
+            names.push_back(spec.name);
+        return names;
+    }()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string name = info.param;
+        for (char &c : name)
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name;
+    });
 
 } // namespace
 } // namespace paqoc

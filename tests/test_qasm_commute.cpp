@@ -5,6 +5,7 @@
  */
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -69,6 +70,27 @@ u1(0.25) q[0];
     EXPECT_NEAR(c.gate(2).angle(), 3 * kPi / 4, 1e-12);
     EXPECT_NEAR(c.gate(3).angle(), 0.25, 1e-12);
     EXPECT_EQ(c.gate(3).op(), Op::P);
+}
+
+TEST(Qasm, ExtremeAnglesRoundTripExactly)
+{
+    // Outside input may carry angles no k*pi/b spells; they print in
+    // full and read back bit for bit.
+    const double inf = std::numeric_limits<double>::infinity();
+    const Circuit c = fromQasm(R"(OPENQASM 2.0;
+qreg q[1];
+rz(inf) q[0];
+rz(-inf) q[0];
+rz(1e300) q[0];
+rz(-1e19) q[0];
+)");
+    ASSERT_EQ(c.size(), 4u);
+    const Circuit back = fromQasm(toQasm(c));
+    ASSERT_EQ(back.size(), 4u);
+    EXPECT_EQ(back.gate(0).angle(), inf);
+    EXPECT_EQ(back.gate(1).angle(), -inf);
+    EXPECT_EQ(back.gate(2).angle(), 1e300);
+    EXPECT_EQ(back.gate(3).angle(), -1e19);
 }
 
 TEST(Qasm, IgnoresCommentsMeasureAndBarrier)

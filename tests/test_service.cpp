@@ -21,6 +21,7 @@
 #include "circuit/gate.h"
 #include "common/error.h"
 #include "common/json.h"
+#include "common/thread_pool.h"
 #include "common/thread_annotations.h"
 #include "qoc/pulse_generator.h"
 #include "service/client.h"
@@ -400,6 +401,151 @@ TEST(PulseService, DegradeOnQuotaServesBestEffortInstead)
     const Json stats = service.statsJson();
     EXPECT_EQ(stats.at("serving").at("degraded_pulses").asInt(), 1);
     EXPECT_EQ(stats.at("serving").at("quota_rejections").asInt(), 0);
+}
+
+/** A GRAPE compile of a QASM program, as a `--connect` client sends it. */
+Json
+grapeCompileRequest(const std::string &qasm, const std::string &topology,
+                    int maxn)
+{
+    Json r = Json::object();
+    r.set("op", Json("compile"));
+    r.set("qasm", Json(qasm));
+    r.set("backend", Json("grape"));
+    r.set("topology", Json(topology));
+    r.set("maxn", Json(maxn));
+    r.set("emit_pulses", Json(true));
+    return r;
+}
+
+/**
+ * `request` served the daemon's way: a fresh service handles it as a
+ * SessionScheduler job, i.e. on a worker of a global pool of
+ * `threads` workers.
+ */
+Json
+scheduledResponse(const ServiceOptions &opts, const Json &request,
+                  unsigned threads)
+{
+    ThreadPool::setGlobalThreads(threads);
+    PulseService service(opts);
+    SessionScheduler sched(4);
+    Json response;
+    EXPECT_EQ(sched.submit([&]() { response = service.handle(request); }),
+              SessionScheduler::Admit::Accepted);
+    sched.drain();
+    return response;
+}
+
+/** Payload bytes of a scheduledResponse that must succeed. */
+std::string
+scheduledPayload(const ServiceOptions &opts, const Json &request,
+                 unsigned threads)
+{
+    const Json response = scheduledResponse(opts, request, threads);
+    EXPECT_TRUE(response.get("ok", Json(false)).asBool())
+        << response.dump();
+    return response.get("payload", Json()).dump();
+}
+
+/** The compile payload with no pool at all, as perfbench's replica
+ *  computes it. */
+std::string
+poolLessPayload(const ServiceOptions &opts, const Json &request)
+{
+    const CompileJob job = compileJobFromJson(request);
+    GrapePulseGenerator generator(opts.grape);
+    generator.setSeedDistance(opts.grapeSeedDistance);
+    const CompileReport report = runCompileJob(job, generator, 1);
+    return compilePayload(job, report, generator).dump();
+}
+
+/** Four gates on three qubits: two distinct 2-qubit customized gates
+ *  at maxn 2, one 3-qubit gate at maxn 3. */
+const char *const kThreeQubitQasm = "OPENQASM 2.0;\n"
+                                    "include \"qelib1.inc\";\n"
+                                    "qreg q[3];\n"
+                                    "h q[0];\n"
+                                    "cx q[0],q[1];\n"
+                                    "t q[2];\n"
+                                    "cx q[1],q[2];\n";
+
+class DaemonPoolSize : public ::testing::TestWithParam<int> {};
+
+TEST_P(DaemonPoolSize, GrapePayloadMatchesPoolLessCompile)
+{
+    // A daemon request fans its derivations and duration probes out
+    // from the pool worker it runs on. Its payload must not depend on
+    // that: 1 and 4 workers and no pool at all agree byte for byte.
+    // At maxn 3 the merged gate drives a 3-qubit device.
+    const unsigned before = ThreadPool::global().size();
+    const ServiceOptions opts;
+    const Json request =
+        grapeCompileRequest(kThreeQubitQasm, "line:3", GetParam());
+    const std::string pool_less = poolLessPayload(opts, request);
+    EXPECT_EQ(scheduledPayload(opts, request, 1), pool_less);
+    EXPECT_EQ(scheduledPayload(opts, request, 4), pool_less);
+    ThreadPool::setGlobalThreads(before);
+}
+
+INSTANTIATE_TEST_SUITE_P(Maxn, DaemonPoolSize, ::testing::Values(2, 3));
+
+TEST(PulseService, GeneratePayloadIndependentOfDaemonPoolSize)
+{
+    // The generate op derives on the pool as well.
+    const unsigned before = ThreadPool::global().size();
+    const ServiceOptions opts;
+    const Json request =
+        grapeGenerateRequest(Gate(Op::CX, {0, 1}).unitary());
+    const std::string one_worker = scheduledPayload(opts, request, 1);
+    EXPECT_NE(one_worker.find("\"schedule\""), std::string::npos);
+    EXPECT_EQ(scheduledPayload(opts, request, 4), one_worker);
+    ThreadPool::setGlobalThreads(before);
+}
+
+TEST(PulseService, DegradedPayloadIndependentOfDaemonPoolSize)
+{
+    // A tripping degrade-mode token stops each trial wherever it is,
+    // so concurrent derivations and probes would shape the best-effort
+    // pulses by their scheduling. Degraded requests derive serially
+    // instead and repeat byte for byte on any pool. Unmetered, the
+    // two 2-qubit derivations spend about 5,100 iterations, so a
+    // budget of 1,000 trips while they run.
+    const unsigned before = ThreadPool::global().size();
+    const ServiceOptions opts;
+    Json request = grapeCompileRequest(kThreeQubitQasm, "line:3", 2);
+    request.set("degrade_on_quota", Json(true));
+    request.set("max_iters", Json(1000));
+    const std::string one_worker = scheduledPayload(opts, request, 1);
+    EXPECT_NE(one_worker.find("\"degraded\":true"), std::string::npos);
+    for (int run = 0; run < 5; ++run)
+        EXPECT_EQ(scheduledPayload(opts, request, 4), one_worker)
+            << "run " << run;
+    ThreadPool::setGlobalThreads(before);
+}
+
+TEST(PulseService, HardQuotaTripIndependentOfDaemonPoolSize)
+{
+    // Concurrent derivations would each charge the token before seeing
+    // a trip: the second one's resident pulse could trip
+    // max_resident_pulses before the first one's iterations trip
+    // max_iters, and iters_charged would read past the cap by however
+    // many trials were running. A capped request derives serially, so
+    // the whole error response repeats on any pool.
+    const unsigned before = ThreadPool::global().size();
+    const ServiceOptions opts;
+    Json request = grapeCompileRequest(kThreeQubitQasm, "line:3", 2);
+    request.set("max_iters", Json(1000));
+    request.set("max_resident_pulses", Json(1));
+    const std::string one_worker =
+        scheduledResponse(opts, request, 1).dump();
+    EXPECT_NE(one_worker.find("\"limit\":\"max_iters\""),
+              std::string::npos)
+        << one_worker;
+    for (int run = 0; run < 5; ++run)
+        EXPECT_EQ(scheduledResponse(opts, request, 4).dump(), one_worker)
+            << "run " << run;
+    ThreadPool::setGlobalThreads(before);
 }
 
 TEST(PulseService, OverBudgetRequestLeavesOthersByteIdentical)

@@ -14,7 +14,8 @@
  *                          ephemeral; resolved port is logged)
  *     --library DIR        durable pulse-library directory (empty =
  *                          in-memory only)
- *     --threads N          worker threads (0 = all cores)
+ *     --threads N          worker threads (0 = all cores, split
+ *                          between --fleet workers)
  *     --max-queue N        admitted-but-unfinished request cap
  *     --deadline-ms N      default per-request deadline (0 = none)
  *     --sync-every-append  fsync the journal after every record
@@ -57,6 +58,7 @@
  * forwards it, waits for the drain and exits with the workers' status.
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -126,7 +128,8 @@ usage(int code)
         "  --listen HOST:PORT   TCP listener beside the socket "
         "(port 0 = ephemeral)\n"
         "  --library DIR        durable pulse-library directory\n"
-        "  --threads N          worker threads (0 = all cores)\n"
+        "  --threads N          worker threads (0 = all cores, "
+        "split between --fleet workers)\n"
         "  --kernel NAME        linalg backend: scalar|avx2|auto\n"
         "  --max-queue N        in-flight request cap (default 64)\n"
         "  --deadline-ms N      default request deadline (0 = none)\n"
@@ -361,9 +364,15 @@ printCheckpoints(const CheckpointStore *store)
 int
 serve(const DaemonOptions &opts, const fleet::FleetWorkerContext &ctx)
 {
-    if (opts.threads > 0)
-        ThreadPool::setGlobalThreads(
-            static_cast<unsigned>(opts.threads));
+    // A request fans out onto its worker's whole pool, so without
+    // --threads the workers of a fleet split the cores between them.
+    unsigned threads =
+        opts.threads > 0 ? static_cast<unsigned>(opts.threads) : 0u;
+    if (threads == 0 && opts.fleet > 1)
+        threads = std::max(1u, ThreadPool::defaultThreads()
+                                   / static_cast<unsigned>(opts.fleet));
+    if (threads > 0)
+        ThreadPool::setGlobalThreads(threads);
 
     // Beat as soon as the worker is alive -- library recovery below
     // can legitimately take a while, and must not read as a hang.
