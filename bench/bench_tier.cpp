@@ -133,7 +133,7 @@ runBench(const bench::SnapshotCli &cli)
         }
         const double begin = nowMs();
         for (int i = 0; i < fetches; ++i) {
-            if (!client.fetch(key).has_value()) {
+            if (!client.fetch(key, nullptr).has_value()) {
                 std::fprintf(stderr, "bench_tier: fetch missed\n");
                 return 2;
             }

@@ -37,21 +37,6 @@ CancelState::trip(CancelReason why) const
                                    std::memory_order_acq_rel);
 }
 
-CancelState::Clock::time_point
-CancelState::effectiveDeadline() const
-{
-    Clock::time_point tightest(Clock::duration(
-        deadline.load(std::memory_order_acquire)));
-    for (const CancelState *up = parent.get(); up != nullptr;
-         up = up->parent.get()) {
-        const Clock::time_point theirs(Clock::duration(
-            up->deadline.load(std::memory_order_acquire)));
-        if (theirs < tightest)
-            tightest = theirs;
-    }
-    return tightest;
-}
-
 bool
 CancelState::poll() const
 {
@@ -75,12 +60,6 @@ CancelState::poll() const
         deadline.load(std::memory_order_acquire)));
     if (armed != Clock::time_point::max() && Clock::now() >= armed) {
         trip(CancelReason::DeadlineExceeded);
-        return true;
-    }
-
-    if (parent != nullptr && parent->poll()) {
-        trip(static_cast<CancelReason>(
-            parent->reason.load(std::memory_order_acquire)));
         return true;
     }
     return false;

@@ -77,16 +77,14 @@ struct CancelState
     /** CancelReason, or None. Relaxed loads on the poll fast path;
      *  the trip CAS publishes with acq_rel like QuotaToken. */
     mutable std::atomic<int> reason{0};
-    /** Absolute deadline; max() means "not deadline-armed". Written
-     *  once (armDeadline) before the token is shared. */
+    /** Absolute deadline; max() means "not deadline-armed". Only
+     *  ever moves earlier (armDeadline), also after the token is
+     *  shared. */
     std::atomic<Clock::time_point::rep> deadline{
         Clock::time_point::max().time_since_epoch().count()};
-    /** Parent link: a child is cancelled whenever its parent is. */
-    std::shared_ptr<const CancelState> parent;
 
     bool poll() const;
     void trip(CancelReason why) const;
-    Clock::time_point effectiveDeadline() const;
 };
 
 } // namespace detail
@@ -104,8 +102,8 @@ class CancelToken
 
     CancelToken() = default;
 
-    /** True once the source (or any ancestor) cancelled, the armed
-     *  deadline passed, or the `cancel.poll` failpoint fired. */
+    /** True once the source cancelled, the armed deadline passed,
+     *  or the `cancel.poll` failpoint fired. */
     bool
     cancelled() const
     {
@@ -122,12 +120,14 @@ class CancelToken
             state_->reason.load(std::memory_order_acquire));
     }
 
-    /** Tightest armed deadline along the parent chain (max() = none). */
+    /** The armed deadline (max() = none). */
     Clock::time_point
     deadline() const
     {
-        return state_ != nullptr ? state_->effectiveDeadline()
-                                 : Clock::time_point::max();
+        return state_ != nullptr
+            ? Clock::time_point(Clock::duration(
+                  state_->deadline.load(std::memory_order_acquire)))
+            : Clock::time_point::max();
     }
 
     /** Milliseconds until the deadline (infinity when none armed,
@@ -180,39 +180,29 @@ class CancelSource
 
     CancelSource() : state_(std::make_shared<detail::CancelState>()) {}
 
-    /** A child source: cancelled on its own OR when `parent` is.
-     *  Children let a batch hand each item a narrower lifetime while
-     *  one request-level cancel still stops everything. */
-    explicit CancelSource(const CancelToken &parent)
-        : CancelSource()
+    /**
+     * Arm the deadline, or tighten an armed one: polls trip with
+     * DeadlineExceeded once the earlier of the two passes. A later
+     * `when` changes nothing, so the scheduler arms the request's
+     * deadline at submission and the server tightens it by the wall
+     * bound when the work starts, on the one source. Safe while the
+     * token is shared. True when `when` became the deadline.
+     */
+    bool
+    armDeadline(Clock::time_point when) const
     {
-        state_->parent = parent.state_;
-    }
-
-    /** Arm the deadline: polls trip with DeadlineExceeded once `when`
-     *  passes. Call before sharing the token (submission time). */
-    void
-    armDeadline(Clock::time_point when)
-    {
-        state_->deadline.store(when.time_since_epoch().count(),
-                               std::memory_order_release);
+        const Clock::time_point::rep want = when.time_since_epoch().count();
+        Clock::time_point::rep armed =
+            state_->deadline.load(std::memory_order_acquire);
+        while (want < armed)
+            if (state_->deadline.compare_exchange_weak(
+                    armed, want, std::memory_order_acq_rel))
+                return true;
+        return false;
     }
 
     /** Trip the state; the first call's reason sticks. */
     void cancel(CancelReason why) const { state_->trip(why); }
-
-    bool
-    cancelled() const
-    {
-        return state_->poll();
-    }
-
-    CancelReason
-    reason() const
-    {
-        return static_cast<CancelReason>(
-            state_->reason.load(std::memory_order_acquire));
-    }
 
     CancelToken token() const { return CancelToken(state_); }
 

@@ -2,63 +2,57 @@
 #define PAQOC_COMMON_QUOTA_H_
 
 #include <atomic>
-#include <chrono>
 #include <string>
+#include <utility>
 
+#include "common/cancellation.h"
 #include "common/error.h"
 
 namespace paqoc {
 
 /**
- * Per-request resource budgets (DESIGN.md §10). A zero limit means
- * "unlimited"; the service resolves each request's effective limits
- * from its own caps plus the request's overrides (resolveQuota) and
- * hands the optimizer a QuotaToken to charge against.
+ * Per-request resource budgets (DESIGN.md §10): the counted work a
+ * request may spend. A zero limit means "unlimited"; the service
+ * resolves each request's effective limits from its own caps plus the
+ * request's overrides (resolveQuota) and hands the optimizer a
+ * QuotaToken to charge against. Wall time is not a count: the server
+ * bounds it as the request's deadline (ServerOptions::maxWallMs).
  */
 struct QuotaLimits
 {
     /** GRAPE/ADAM iterations across all trials of the request. */
     long maxIters = 0;
-    /** Wall-clock budget from token construction, in milliseconds. */
-    double maxWallMs = 0.0;
     /** Distinct pulses the request may derive (cache misses). */
     long maxResidentPulses = 0;
 
-    bool
-    any() const
-    {
-        return maxIters > 0 || maxWallMs > 0.0 || maxResidentPulses > 0;
-    }
+    bool any() const { return maxIters > 0 || maxResidentPulses > 0; }
 };
 
 /**
- * Effective per-request limits: the request's value, clamped by the
- * server cap. A zero cap passes the request value through; a zero (or
+ * One effective limit: the request's value, clamped by the server
+ * cap. A zero cap passes the request value through; a zero (or
  * absent) request value inherits the cap; otherwise the smaller wins,
  * so a request can tighten but never widen the server's budget.
  */
+template <typename T>
+T
+resolveLimit(T cap, T requested)
+{
+    if (cap <= T(0))
+        return requested < T(0) ? T(0) : requested;
+    if (requested <= T(0))
+        return cap;
+    return requested < cap ? requested : cap;
+}
+
+/** Effective per-request limits (resolveLimit per dimension). */
 inline QuotaLimits
 resolveQuota(const QuotaLimits &caps, const QuotaLimits &requested)
 {
-    auto clamp_long = [](long cap, long req) {
-        if (cap <= 0)
-            return req < 0 ? 0L : req;
-        if (req <= 0)
-            return cap;
-        return req < cap ? req : cap;
-    };
-    auto clamp_ms = [](double cap, double req) {
-        if (cap <= 0.0)
-            return req < 0.0 ? 0.0 : req;
-        if (req <= 0.0)
-            return cap;
-        return req < cap ? req : cap;
-    };
     QuotaLimits out;
-    out.maxIters = clamp_long(caps.maxIters, requested.maxIters);
-    out.maxWallMs = clamp_ms(caps.maxWallMs, requested.maxWallMs);
+    out.maxIters = resolveLimit(caps.maxIters, requested.maxIters);
     out.maxResidentPulses =
-        clamp_long(caps.maxResidentPulses, requested.maxResidentPulses);
+        resolveLimit(caps.maxResidentPulses, requested.maxResidentPulses);
     return out;
 }
 
@@ -73,8 +67,7 @@ class QuotaExceededError : public FatalError
           limit_(limit), iters_charged_(iters_charged)
     {}
 
-    /** Stable limit id: "max_iters" | "max_wall_ms" |
-     *  "max_resident_pulses". */
+    /** Stable limit id: "max_iters" | "max_resident_pulses". */
     const char *limit() const { return limit_; }
 
     /** Iterations spent before the trip -- tripped work still costs
@@ -87,13 +80,17 @@ class QuotaExceededError : public FatalError
 };
 
 /**
- * Cooperative budget token of one request. GRAPE charges an iteration
- * at the end of every ADAM step and the pulse generators charge one
- * resident pulse per cache-missing derivation; the first charge that
- * exhausts a budget trips the token permanently. In hard mode the
- * charging site raises QuotaExceededError (throwIfExceeded); in
- * degrade mode (degradeOnExceeded) the optimizer instead stops early
- * and hands back its best effort through the stitched-fallback path.
+ * The context of one request: its counted budgets and its
+ * cancellation. GRAPE makes one check per ADAM step (step(): charge
+ * the iteration, poll the cancel token) and the pulse generators
+ * charge one resident pulse per cache-missing derivation; the first
+ * charge that exhausts a budget trips the token permanently. In hard
+ * mode a trip unwinds with QuotaExceededError; in degrade mode
+ * (degradeOnExceeded) the optimizer instead stops early and hands
+ * back its best effort through the stitched-fallback path. A
+ * cancelled request (explicit cancel, disconnect, shed, or its
+ * deadline, which the wall bound tightens) unwinds with
+ * CancelledError in either mode. Both errors carry itersCharged().
  *
  * Thread-safe: trials may charge concurrently from the thread pool.
  * Which trial observes the trip first then depends on scheduling, and
@@ -105,21 +102,30 @@ class QuotaExceededError : public FatalError
 class QuotaToken
 {
   public:
+    /** What step() tells the optimizer after an iteration. */
+    enum class Step
+    {
+        Continue,     ///< within budget, not cancelled
+        StopDegraded, ///< a degrade-mode budget tripped: stop early
+        Unwind,       ///< hard trip or cancelled: throwStop()
+    };
+
     explicit QuotaToken(const QuotaLimits &limits,
-                        bool degrade_on_exceeded = false)
+                        bool degrade_on_exceeded = false,
+                        CancelToken cancel = {})
         : limits_(limits), degrade_(degrade_on_exceeded),
-          start_(std::chrono::steady_clock::now())
+          cancel_(std::move(cancel))
     {}
 
     QuotaToken(const QuotaToken &) = delete;
     QuotaToken &operator=(const QuotaToken &) = delete;
 
     /**
-     * Charge `n` optimizer iterations (also polls the wall clock).
-     * False once any budget is exhausted. Iterations are counted even
-     * when maxIters is unlimited: itersCharged() feeds the per-tenant
-     * budget ledger (fleet/budget.h), which meters spend regardless of
-     * whether this request carries a hard cap.
+     * Charge `n` optimizer iterations. False once any budget is
+     * exhausted. Iterations are counted even when maxIters is
+     * unlimited: itersCharged() feeds the per-tenant budget ledger
+     * (fleet/budget.h), which meters spend regardless of whether this
+     * request carries a hard cap.
      */
     bool
     chargeIterations(long n)
@@ -130,8 +136,6 @@ class QuotaToken
             iters_.fetch_add(n, std::memory_order_relaxed) + n;
         if (limits_.maxIters > 0 && total > limits_.maxIters)
             trip("max_iters");
-        else if (wallExceeded())
-            trip("max_wall_ms");
         return !tripped();
     }
 
@@ -145,10 +149,38 @@ class QuotaToken
             && resident_.fetch_add(1, std::memory_order_relaxed) + 1
                    > limits_.maxResidentPulses)
             trip("max_resident_pulses");
-        else if (wallExceeded())
-            trip("max_wall_ms");
         return !tripped();
     }
+
+    /**
+     * The per-iteration check: charge one iteration, then poll the
+     * cancel token. A hard trip wins over a cancellation landing in
+     * the same step; a degrade-mode trip still unwinds when cancelled.
+     */
+    Step
+    step()
+    {
+        const bool within = chargeIterations(1);
+        if ((!within && !degrade_) || cancel_.cancelled())
+            return Step::Unwind;
+        return within ? Step::Continue : Step::StopDegraded;
+    }
+
+    /** Raise what step() answered Unwind for. */
+    [[noreturn]] void
+    throwStop() const
+    {
+        if (tripped() && !degrade_)
+            throwQuotaExceeded();
+        cancel_.throwCancelled(itersCharged());
+    }
+
+    /** Raise CancelledError if the request was cancelled. */
+    void throwIfCancelled() const
+    { cancel_.throwIfCancelled(itersCharged()); }
+
+    /** The request's cancel token (null when none was given). */
+    const CancelToken &cancelToken() const { return cancel_; }
 
     bool exceeded() const { return tripped(); }
 
@@ -191,18 +223,6 @@ class QuotaToken
                                        std::memory_order_acq_rel);
     }
 
-    bool
-    wallExceeded() const
-    {
-        if (limits_.maxWallMs <= 0.0)
-            return false;
-        const auto elapsed =
-            std::chrono::steady_clock::now() - start_;
-        return std::chrono::duration<double, std::milli>(elapsed)
-                   .count()
-               > limits_.maxWallMs;
-    }
-
     std::string
     describe(const char *limit) const
     {
@@ -212,10 +232,6 @@ class QuotaToken
         if (name == "max_iters")
             return "iteration budget "
                    + std::to_string(limits_.maxIters) + " exhausted";
-        if (name == "max_wall_ms")
-            return "wall-clock budget "
-                   + std::to_string(limits_.maxWallMs)
-                   + " ms exhausted";
         if (name == "max_resident_pulses")
             return "resident-pulse budget "
                    + std::to_string(limits_.maxResidentPulses)
@@ -225,7 +241,7 @@ class QuotaToken
 
     QuotaLimits limits_;
     bool degrade_;
-    std::chrono::steady_clock::time_point start_;
+    CancelToken cancel_;
     std::atomic<long> iters_{0};
     std::atomic<long> resident_{0};
     std::atomic<const char *> limit_{nullptr};

@@ -238,6 +238,11 @@ GrapeRun::optimize(const GrapeRuntime &rt, const GrapeTrialKey &key,
     result.iterations = start_iter - 1;
     if (best_u_.empty())
         best_u_ = u_;
+    const auto snapshot = [&](int iter) {
+        if (rt.checkpoint != nullptr && rt.checkpointEvery > 0)
+            rt.checkpoint->saveTrialState(GrapeTrialState{
+                key, iter, best_fidelity_, u_, m_, v_, best_u_});
+    };
 
     for (int iter = start_iter; iter <= opts_.maxIterations; ++iter) {
         const double fidelity = fidelityAndGradient(grad, rt);
@@ -270,47 +275,26 @@ GrapeRun::optimize(const GrapeRuntime &rt, const GrapeTrialKey &key,
             }
         }
 
-        if (rt.checkpoint != nullptr && rt.checkpointEvery > 0
-            && iter % rt.checkpointEvery == 0) {
-            GrapeTrialState state;
-            state.key = key;
-            state.iteration = iter;
-            state.bestFidelity = best_fidelity_;
-            state.u = u_;
-            state.m = m_;
-            state.v = v_;
-            state.bestU = best_u_;
-            rt.checkpoint->saveTrialState(state);
-        }
-        // Charged after the snapshot so work done before the trip is
-        // still resumable, and after the convergence break so every
-        // trial performs at least one full iteration (a degraded
-        // token always has a best effort to hand back).
-        if (rt.quota != nullptr && !rt.quota->chargeIterations(1)) {
-            if (!rt.quota->degradeOnExceeded())
-                rt.quota->throwQuotaExceeded();
-            break;
-        }
-        // Cancellation poll, once per iteration: the latency bound on
-        // "orphaned work stops" is one ADAM step. Checkpoint before
-        // unwinding (unless this iteration's periodic snapshot was
-        // just written) so the interrupted derivation resumes at
-        // iter + 1 byte-identically on a re-request.
-        if (rt.cancel != nullptr && rt.cancel->cancelled()) {
-            if (rt.checkpoint != nullptr && rt.checkpointEvery > 0
-                && iter % rt.checkpointEvery != 0) {
-                GrapeTrialState state;
-                state.key = key;
-                state.iteration = iter;
-                state.bestFidelity = best_fidelity_;
-                state.u = u_;
-                state.m = m_;
-                state.v = v_;
-                state.bestU = best_u_;
-                rt.checkpoint->saveTrialState(state);
+        // One check per iteration, after the snapshot so work done
+        // before a trip is resumable, and after the convergence break
+        // so every trial performs at least one full iteration (a
+        // degraded token always has a best effort to hand back). An
+        // unwind (hard trip or cancel) snapshots first, unless this
+        // iteration's periodic snapshot was just written, so the
+        // interrupted derivation resumes at iter + 1 byte-identically.
+        const bool periodic =
+            rt.checkpointEvery > 0 && iter % rt.checkpointEvery == 0;
+        if (periodic)
+            snapshot(iter);
+        if (rt.quota != nullptr) {
+            const QuotaToken::Step verdict = rt.quota->step();
+            if (verdict == QuotaToken::Step::StopDegraded)
+                break;
+            if (verdict == QuotaToken::Step::Unwind) {
+                if (!periodic)
+                    snapshot(iter);
+                rt.quota->throwStop();
             }
-            rt.cancel->throwCancelled(
-                rt.quota != nullptr ? rt.quota->itersCharged() : 0);
         }
     }
 
@@ -521,13 +505,19 @@ findMinimumDuration(const DeviceModel &device, const Matrix &target,
 
     const int probes = std::max(1, options.durationProbes);
     const int kMaxSlices = 4096;
+    // A tripped degrade-mode token starts no further trial (a hard
+    // trip has already unwound): the search then leaves the way the
+    // duration cap does, from wherever the bracket stands.
+    const auto stopped = [&]() {
+        return runtime.quota != nullptr && runtime.quota->exceeded();
+    };
 
     // Exponential bracketing upward from the hint until convergence;
     // with probes >= 2 each round tests the next two octaves at once.
     int lo = 1;
     int hi = std::max(latency_hint, 4);
     GrapeResult at_hi = eval_many({hi})[0];
-    while (!at_hi.converged && hi < kMaxSlices) {
+    while (!at_hi.converged && hi < kMaxSlices && !stopped()) {
         if (probes <= 1) {
             lo = hi + 1;
             hi *= 2;
@@ -547,9 +537,9 @@ findMinimumDuration(const DeviceModel &device, const Matrix &target,
         }
     }
     if (!at_hi.converged) {
-        // Duration cap reached without hitting the fidelity target.
-        // Hand back the best effort at the cap and let the caller
-        // degrade (stitch + tag) rather than abort the compile.
+        // Duration cap (or a degrade trip) reached without hitting
+        // the fidelity target. Hand back the best effort and let the
+        // caller degrade (stitch + tag) rather than abort the compile.
         out.converged = false;
         out.schedule = std::move(at_hi.schedule);
         return out;
@@ -559,7 +549,7 @@ findMinimumDuration(const DeviceModel &device, const Matrix &target,
     // [lo, hi]: p candidates split the bracket into p+1 parts (p = 1
     // is the classic binary search).
     GrapeResult best = at_hi;
-    while (lo < hi) {
+    while (lo < hi && !stopped()) {
         const int width = hi - lo;
         const int p = std::min(probes, width);
         std::vector<int> mids;

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/quota.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
@@ -185,16 +184,15 @@ struct GrapeRuntime
     GrapeCheckpoint *checkpoint = nullptr;
     /** Snapshot every N ADAM iterations (0 disables snapshots). */
     int checkpointEvery = 0;
-    /** Cooperative budget of the enclosing request (may be null). */
-    QuotaToken *quota = nullptr;
     /**
-     * Cancellation token of the enclosing request (may be null).
-     * Polled once per ADAM iteration; a cancelled trial snapshots its
-     * end-of-iteration state first (checkpoint-before-cancel) and
-     * then unwinds with CancelledError, so a re-request resumes
-     * byte-identically instead of restarting (DESIGN.md §15).
+     * Context of the enclosing request (may be null): budgets and
+     * cancellation. Checked once per ADAM iteration (QuotaToken::
+     * step); a trial that must unwind -- a hard trip or a cancel --
+     * snapshots its end-of-iteration state first and then throws, so
+     * a re-request resumes byte-identically instead of restarting
+     * (DESIGN.md §10, §15).
      */
-    const CancelToken *cancel = nullptr;
+    QuotaToken *quota = nullptr;
     /**
      * Shared propagator cache (may be null). Only consulted for the
      * first fidelity evaluation of guess-seeded trials, where reuse
@@ -220,9 +218,9 @@ GrapeResult grapeOptimize(const DeviceModel &device, const Matrix &target,
 
 /**
  * As above, with a full runtime: checkpointed trials replay from (or
- * resume into) `runtime.checkpoint`, and `runtime.quota` is charged
- * one unit per ADAM iteration. With a default runtime this is exactly
- * the legacy overload.
+ * resume into) `runtime.checkpoint`, and `runtime.quota` is checked
+ * once per ADAM iteration. With a default runtime this is exactly the
+ * legacy overload.
  */
 GrapeResult grapeOptimize(const DeviceModel &device, const Matrix &target,
                           int num_slices, const GrapeOptions &options,
@@ -239,8 +237,9 @@ struct MinDurationResult
     int trials = 0;
     /**
      * False when even the duration cap failed to reach the target
-     * fidelity; `schedule` then holds the best pulse found at the
-     * cap. Callers degrade gracefully (PulseGenerator stitches a
+     * fidelity, or a degrade trip stopped the search below it;
+     * `schedule` then holds the best pulse found where the bracket
+     * stopped. Callers degrade gracefully (PulseGenerator stitches a
      * corrective segment and tags the result) instead of crashing.
      */
     bool converged = true;
@@ -271,7 +270,9 @@ MinDurationResult findMinimumDuration(
  * of the bracket and every trial is a pure function of its key, so a
  * search resumed from a checkpoint walks the exact same candidates --
  * completed trials replay from the checkpoint and only the
- * interrupted one computes, yielding a byte-identical result.
+ * interrupted one computes, yielding a byte-identical result. Once a
+ * degrade-mode `runtime.quota` trips, no further trial starts: an
+ * unconverged bracket returns converged = false, as at the cap.
  */
 MinDurationResult findMinimumDuration(
     const DeviceModel &device, const Matrix &target,

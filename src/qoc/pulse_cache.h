@@ -81,23 +81,16 @@ class PulseTierSource
 {
   public:
     virtual ~PulseTierSource() = default;
-    /** `key` is PulseCache::canonicalKey of the wanted unitary. */
-    virtual std::optional<CachedPulse> fetch(const std::string &key) = 0;
 
     /**
-     * Deadline/cancellation-aware fetch: `cancel` (may be null) is
-     * the enclosing request's token. An implementation should return
-     * nullopt immediately when the token is cancelled or its
-     * remaining deadline cannot fund a full tier op -- "compute
-     * locally" is always the right degradation. The default forwards
-     * to the plain overload so existing sources stay correct.
+     * `key` is PulseCache::canonicalKey of the wanted unitary;
+     * `cancel` is the enclosing request's token (null: no deadline).
+     * An implementation should return nullopt immediately when the
+     * token is cancelled or its remaining deadline cannot fund a full
+     * tier op -- "compute locally" is always the right degradation.
      */
     virtual std::optional<CachedPulse>
-    fetch(const std::string &key, const CancelToken *cancel)
-    {
-        (void)cancel;
-        return fetch(key);
-    }
+    fetch(const std::string &key, const CancelToken *cancel) = 0;
 };
 
 /**

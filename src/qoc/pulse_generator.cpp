@@ -61,11 +61,8 @@ PulseGenerator::generateBatch(const std::vector<PulseRequest> &requests,
         // cancelled; the one mid-derivation stops at its next GRAPE
         // iteration poll. Throwing before acquire() leaves no flight
         // to abort.
-        if (const CancelToken *c = cancel();
-            c != nullptr && c->cancelled())
-            c->throwCancelled(quota() != nullptr
-                                  ? quota()->itersCharged()
-                                  : 0);
+        if (quota() != nullptr)
+            quota()->throwIfCancelled();
         const PulseRequest &r = requests[distinct[j]];
         out[distinct[j]] =
             generateOne(r.unitary, r.numQubits, pool, horizon);
@@ -118,7 +115,7 @@ SpectralPulseGenerator::generateOne(const Matrix &unitary, int num_qubits,
             if (PulseTierSource *tier = cache_.tierSource()) {
                 if (std::optional<CachedPulse> fetched = tier->fetch(
                         PulseCache::canonicalKey(unitary, num_qubits),
-                        cancel())) {
+                        tierCancel())) {
                     result.latency = fetched->latency;
                     result.error = fetched->error;
                     result.cacheHit = true;
@@ -193,7 +190,7 @@ GrapePulseGenerator::generateOne(const Matrix &unitary, int num_qubits,
         if (PulseTierSource *tier = cache_.tierSource()) {
             if (std::optional<CachedPulse> fetched = tier->fetch(
                     PulseCache::canonicalKey(unitary, num_qubits),
-                    cancel())) {
+                    tierCancel())) {
                 result.latency = fetched->latency;
                 result.error = fetched->error;
                 result.schedule = fetched->schedule;
@@ -218,11 +215,10 @@ GrapePulseGenerator::generateOne(const Matrix &unitary, int num_qubits,
         runtime.pool = pool;
         runtime.checkpoint = ckpt.get();
         runtime.checkpointEvery = checkpoint_every_;
-        runtime.quota = quota();
         // A cancelled derivation unwinds through the catch below:
         // abortFlight re-races the waiters, so a live joiner takes
         // over leadership instead of inheriting a dead leader's hang.
-        runtime.cancel = cancel();
+        runtime.quota = quota();
 
         // Warm-start from the nearest pulse cached before the horizon
         // if one is close; use the analytical estimate to start the

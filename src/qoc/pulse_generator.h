@@ -119,23 +119,16 @@ class PulseGenerator
     { cache_.save(path); }
 
     /**
-     * Attach the enclosing request's resource budget (may be null to
-     * detach). Not owned; must outlive every generate call. Each
-     * cache-missing derivation charges one resident pulse, and GRAPE
-     * charges iterations through the same token.
+     * Attach the enclosing request's context (may be null to detach).
+     * Not owned; must outlive every generate call. Each cache-missing
+     * derivation charges one resident pulse and GRAPE checks the same
+     * token once per iteration. Its cancellation is polled by batch
+     * items before they start, caps tier fetches by the remaining
+     * deadline, and stops GRAPE within one ADAM step; the
+     * single-flight abort-re-race then hands cache leadership to a
+     * live joiner.
      */
     void setQuota(QuotaToken *quota) { quota_ = quota; }
-
-    /**
-     * Attach the enclosing request's cancellation token (may be null
-     * to detach). Not owned; must outlive every generate call. Batch
-     * items poll it before starting, tier fetches cap their budget by
-     * its remaining deadline, and GRAPE polls it each iteration
-     * (through GrapeRuntime), so a cancelled request unwinds within
-     * one ADAM step. The single-flight abort-re-race then hands cache
-     * leadership to a live joiner.
-     */
-    void setCancel(const CancelToken *cancel) { cancel_ = cancel; }
 
   protected:
     /**
@@ -170,11 +163,15 @@ class PulseGenerator
             ;
     }
 
-    /** Budget of the current request; null when unmetered. */
+    /** Context of the current request; null when unmetered. */
     QuotaToken *quota() const { return quota_; }
 
-    /** Cancellation token of the current request; null when none. */
-    const CancelToken *cancel() const { return cancel_; }
+    /** The request's cancel token for a tier fetch (null: none). */
+    const CancelToken *
+    tierCancel() const
+    {
+        return quota_ != nullptr ? &quota_->cancelToken() : nullptr;
+    }
 
     /**
      * Charge one cache-missing derivation against the quota; raises
@@ -197,7 +194,6 @@ class PulseGenerator
 
   private:
     QuotaToken *quota_ = nullptr;
-    const CancelToken *cancel_ = nullptr;
     std::atomic<double> total_cost_{0.0};
     std::atomic<std::size_t> cache_hits_{0};
     std::atomic<std::size_t> generate_calls_{0};

@@ -49,9 +49,10 @@ Json errorResponse(const std::string &message);
 Json overloadedResponse();
 /**
  * Structured budget-violation response: {"ok": false, "error": ...,
- * "quota_exceeded": true, "limit": "max_iters" | "max_wall_ms" |
+ * "quota_exceeded": true, "limit": "max_iters" |
  * "max_resident_pulses"}. Not retryable -- the same request would
- * exhaust the same budget again.
+ * exhaust the same budget again. (A request's `max_wall_ms` is a
+ * deadline: passing it answers cancelledResponse.)
  */
 Json quotaExceededResponse(const std::string &limit,
                            const std::string &message);
@@ -86,7 +87,8 @@ Json overloadShedResponse(const std::string &tenant,
  * "cancelled": true, "reason": "deadline_exceeded" |
  * "client_disconnected" | "explicit_cancel" | "overload_shed" |
  * "shutdown"}. Not retryable as-is -- the caller decided (or the
- * deadline decided) that the work should stop.
+ * deadline decided) that the work should stop. A deadline answers
+ * the same way whether it passed in the queue or mid-run.
  */
 Json cancelledResponse(const std::string &reason,
                        const std::string &message);

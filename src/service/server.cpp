@@ -1,5 +1,6 @@
 #include "service/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -76,25 +77,17 @@ numberMember(const Json &request, const std::string &key)
     return 0.0;
 }
 
-/** resolveQuota for one long-valued dimension (0 = unlimited). */
-long
-resolveCap(long cap, long requested)
+/**
+ * The deadline `ms` milliseconds after `from`. A client's bound beyond
+ * about 31 years is clamped there: converting a larger one to clock
+ * ticks would overflow and land the deadline in the past.
+ */
+SessionScheduler::Clock::time_point
+deadlineAfter(SessionScheduler::Clock::time_point from, double ms)
 {
-    if (cap <= 0)
-        return requested < 0 ? 0 : requested;
-    if (requested <= 0)
-        return cap;
-    return requested < cap ? requested : cap;
-}
-
-double
-resolveCapMs(double cap, double requested)
-{
-    if (cap <= 0.0)
-        return requested < 0.0 ? 0.0 : requested;
-    if (requested <= 0.0)
-        return cap;
-    return requested < cap ? requested : cap;
+    return from
+        + std::chrono::microseconds(
+            static_cast<long>(std::min(ms, 1e12) * 1000.0));
 }
 
 /** The iterations a handled response reports as spent. */
@@ -441,9 +434,8 @@ SocketServer::dispatchFrame(const std::shared_ptr<Connection> &conn,
         deadline_ms = request.at("deadline_ms").asNumber();
     auto deadline = SessionScheduler::Clock::time_point::max();
     if (deadline_ms > 0.0)
-        deadline = SessionScheduler::Clock::now()
-            + std::chrono::milliseconds(
-                static_cast<long>(deadline_ms));
+        deadline =
+            deadlineAfter(SessionScheduler::Clock::now(), deadline_ms);
 
     // Eagerly purge queued-but-expired jobs: their admission slots
     // free before this request's decision, and their clients get the
@@ -488,6 +480,12 @@ SocketServer::dispatchFrame(const std::shared_ptr<Connection> &conn,
         }
     }
 
+    // The request's wall bound: its own max_wall_ms clamped by
+    // --max-wall-ms and, below, by the tenant's remaining wall budget.
+    // It tightens the request's deadline once the job starts.
+    double wall_bound_ms = resolveLimit(
+        options_.maxWallMs, numberMember(request, "max_wall_ms"));
+
     // Tenant-budget admission (DESIGN.md §12): an exhausted tenant is
     // refused up front (or served degraded when it opted in); a
     // tenant running low gets its remaining budget injected as the
@@ -517,38 +515,34 @@ SocketServer::dispatchFrame(const std::shared_ptr<Connection> &conn,
             return;
         }
         degraded_serve = rem.exhausted && degrade;
-        const QuotaLimits caps = service_.quotaCaps();
-        if (options_.tenantBudget.iters > 0.0) {
-            const long without_budget = resolveCap(
-                caps.maxIters,
-                static_cast<long>(
-                    numberMember(request, "max_iters")));
-            long budget_cap = degraded_serve
-                ? 1
-                : static_cast<long>(rem.iters);
-            if (budget_cap < 1)
-                budget_cap = 1;
-            if (without_budget == 0 || budget_cap < without_budget) {
-                effective.set("max_iters",
-                              Json(static_cast<double>(budget_cap)));
-                iters_from_budget = true;
+        if (degraded_serve) {
+            // Spent, but best effort accepted: the one-iteration cap,
+            // whichever dimension ran out.
+            effective.set("max_iters", Json(1.0));
+        } else {
+            if (options_.tenantBudget.iters > 0.0) {
+                QuotaLimits requested;
+                requested.maxIters = static_cast<long>(
+                    numberMember(request, "max_iters"));
+                const long without_budget =
+                    resolveQuota(service_.quotaCaps(), requested)
+                        .maxIters;
+                const long budget_cap =
+                    std::max(1L, static_cast<long>(rem.iters));
+                if (without_budget == 0 || budget_cap < without_budget) {
+                    effective.set("max_iters",
+                                  Json(static_cast<double>(budget_cap)));
+                    iters_from_budget = true;
+                }
+            }
+            if (options_.tenantBudget.wallMs > 0.0) {
+                const double budget_ms = std::max(1.0, rem.wallMs);
+                if (wall_bound_ms == 0.0 || budget_ms < wall_bound_ms) {
+                    wall_bound_ms = budget_ms;
+                    wall_from_budget = true;
+                }
             }
         }
-        if (options_.tenantBudget.wallMs > 0.0) {
-            const double without_budget = resolveCapMs(
-                caps.maxWallMs, numberMember(request, "max_wall_ms"));
-            double budget_cap =
-                degraded_serve ? 1.0 : rem.wallMs;
-            if (budget_cap < 1.0)
-                budget_cap = 1.0;
-            if (without_budget == 0.0
-                || budget_cap < without_budget) {
-                effective.set("max_wall_ms", Json(budget_cap));
-                wall_from_budget = true;
-            }
-        }
-        if (degraded_serve)
-            effective.set("degrade_on_quota", Json(true));
     }
 
     // Brownout rung: a reduced-iteration degraded pulse through the
@@ -571,9 +565,16 @@ SocketServer::dispatchFrame(const std::shared_ptr<Connection> &conn,
         tenant,
         [this, write_mutex, fd, effective = std::move(effective), id,
          tenant, iters_from_budget, wall_from_budget, degraded_serve,
-         brownout_serve, reg](const CancelToken &cancel) {
+         brownout_serve, reg, source,
+         wall_bound_ms](const CancelToken &cancel) {
             const auto t0 =
                 fleet::TenantBudgetLedger::Clock::now();
+            // The wall bound runs from here, on the request's one
+            // deadline: a trip answers cancelled/deadline_exceeded
+            // like any other deadline, unless the tenant's budget was
+            // the binding bound (rewritten below).
+            const bool wall_binds = wall_bound_ms > 0.0
+                && source.armDeadline(deadlineAfter(t0, wall_bound_ms));
             Json response = service_.handle(effective, &cancel);
             const auto t1 =
                 fleet::TenantBudgetLedger::Clock::now();
@@ -586,39 +587,38 @@ SocketServer::dispatchFrame(const std::shared_ptr<Connection> &conn,
                 ledger_.charge(tenant, itersCharged(response),
                                wall_ms, t1);
             }
-            if (boolMember(response, "cancelled")) {
-                const std::string why =
-                    response.get("reason", Json("")).isString()
-                    ? response.at("reason").asString()
-                    : "";
+            const bool cancelled = boolMember(response, "cancelled");
+            const std::string why =
+                cancelled && response.get("reason", Json("")).isString()
+                ? response.at("reason").asString()
+                : "";
+            const std::string limit =
+                isQuotaExceeded(response)
+                    && response.get("limit", Json("")).isString()
+                ? response.at("limit").asString()
+                : "";
+            if ((limit == "max_iters" && iters_from_budget)
+                || (why == "deadline_exceeded" && wall_from_budget
+                    && wall_binds)) {
+                // The tripped bound was the tenant's remaining
+                // budget, not a per-request limit: report it as the
+                // retryable budget error.
+                const fleet::TenantBudgetLedger::Remaining rem =
+                    ledger_.remaining(tenant, t1);
+                response = protocol::budgetExhaustedResponse(
+                    tenant, rem.retryAfterMs,
+                    "budget_exhausted: tenant '" + tenant
+                        + "' spent its window budget mid-"
+                          "request; retry after "
+                        + std::to_string(
+                            static_cast<long>(rem.retryAfterMs))
+                        + " ms");
+                scheduler_.noteBudgetExhausted(tenant);
+            } else if (cancelled) {
                 scheduler_.noteCancelled(tenant,
                                          cancelReasonFromName(why));
             } else if (isQuotaExceeded(response)) {
-                const std::string limit =
-                    response.get("limit", Json("")).isString()
-                    ? response.at("limit").asString()
-                    : "";
-                const bool budget_trip =
-                    (limit == "max_iters" && iters_from_budget)
-                    || (limit == "max_wall_ms" && wall_from_budget);
-                if (budget_trip) {
-                    // The tripped cap was the tenant's remaining
-                    // budget, not a per-request limit: report it as
-                    // the retryable budget error.
-                    const fleet::TenantBudgetLedger::Remaining rem =
-                        ledger_.remaining(tenant, t1);
-                    response = protocol::budgetExhaustedResponse(
-                        tenant, rem.retryAfterMs,
-                        "budget_exhausted: tenant '" + tenant
-                            + "' spent its window budget mid-"
-                              "request; retry after "
-                            + std::to_string(static_cast<long>(
-                                rem.retryAfterMs))
-                            + " ms");
-                    scheduler_.noteBudgetExhausted(tenant);
-                } else {
-                    scheduler_.noteQuotaExceeded();
-                }
+                scheduler_.noteQuotaExceeded();
             } else if (degraded_serve) {
                 scheduler_.noteDegraded(tenant);
             } else if (brownout_serve) {
@@ -629,11 +629,12 @@ SocketServer::dispatchFrame(const std::shared_ptr<Connection> &conn,
         deadline,
         [this, write_mutex, fd, id, reg]() {
             unregisterInflight(reg);
-            writeResponse(
-                write_mutex, fd,
-                protocol::errorResponse(
-                    "deadline exceeded while queued"),
-                id);
+            writeResponse(write_mutex, fd,
+                          protocol::cancelledResponse(
+                              "deadline_exceeded",
+                              "cancelled: deadline_exceeded (expired "
+                              "while queued)"),
+                          id);
         },
         source);
     if (admitted != SessionScheduler::Admit::Accepted)

@@ -41,9 +41,17 @@ struct ServerOptions
      * Default per-request deadline in milliseconds (0 = none). A
      * request's own "deadline_ms" member overrides this. Deadlines are
      * checked when a request leaves the queue: one that already
-     * expired gets a fast deadline error instead of a late compile.
+     * expired gets a fast `cancelled`/`deadline_exceeded` answer
+     * instead of a late compile.
      */
     double defaultDeadlineMs = 0.0;
+    /**
+     * Cap on each request's wall bound in ms (`--max-wall-ms`; 0 =
+     * none). The bound -- the request's `max_wall_ms`, clamped by this
+     * and by the tenant's remaining wall budget -- tightens the
+     * request's deadline when it starts running.
+     */
+    double maxWallMs = 0.0;
     /** Weighted fair-share admission (DESIGN.md §12). */
     bool fairShare = false;
     /** Concurrent fair-share jobs (0 = pool thread count). */
@@ -54,10 +62,11 @@ struct ServerOptions
      * Per-tenant replenishing budgets (fleet/budget.h); inert unless
      * a metered dimension is configured. Enforcement: an exhausted
      * tenant's data-plane requests get budgetExhaustedResponse at
-     * admission (or degraded best-effort pulses when the request sets
-     * degrade_on_quota); a tenant running low has the remaining
-     * budget injected as its per-request cap, and a mid-request trip
-     * of such a cap is reported as budget_exhausted too.
+     * admission (or degraded best-effort pulses under a one-iteration
+     * cap when the request sets degrade_on_quota); a tenant running
+     * low has the remaining budget injected as its per-request
+     * iteration cap or wall bound, and a mid-request trip of such a
+     * bound is reported as budget_exhausted too.
      */
     fleet::BudgetOptions tenantBudget;
     /**

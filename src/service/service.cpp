@@ -30,16 +30,26 @@ topologyFromSpec(const std::string &spec)
                           std::stoi(spec.substr(x + 1)));
 }
 
-/** Per-request budget overrides (absent members mean "no override"). */
-QuotaLimits
-quotaFromRequest(const Json &request)
+/**
+ * The request's one context: the server caps tightened by its own
+ * `max_iters` / `max_resident_pulses` (absent members mean "no
+ * override"), its `degrade_on_quota` choice, and its cancel token.
+ * The token is built even with no limit configured -- it then never
+ * trips but still counts iterations, which the fleet server charges
+ * against the tenant's replenishing budget.
+ */
+QuotaToken
+requestToken(const QuotaLimits &caps, const Json &request,
+             const CancelToken *cancel)
 {
-    QuotaLimits q;
-    q.maxIters = request.get("max_iters", Json(0)).asInt();
-    q.maxWallMs = request.get("max_wall_ms", Json(0.0)).asNumber();
-    q.maxResidentPulses =
+    QuotaLimits requested;
+    requested.maxIters = request.get("max_iters", Json(0)).asInt();
+    requested.maxResidentPulses =
         request.get("max_resident_pulses", Json(0)).asInt();
-    return q;
+    return QuotaToken(resolveQuota(caps, requested),
+                      request.get("degrade_on_quota", Json(false))
+                          .asBool(),
+                      cancel != nullptr ? *cancel : CancelToken());
 }
 
 /**
@@ -48,9 +58,9 @@ quotaFromRequest(const Json &request)
  * would land where the schedule puts it.
  */
 bool
-derivesSerially(const QuotaLimits &limits, bool degrade)
+derivesSerially(const QuotaToken &quota)
 {
-    return degrade || limits.maxIters > 0 || limits.maxResidentPulses > 0;
+    return quota.degradeOnExceeded() || quota.limits().any();
 }
 
 } // namespace
@@ -212,10 +222,24 @@ PulseService::PulseService(ServiceOptions options)
         grape_lib_->setForwardSink(options_.tierGrape.sink);
 }
 
-void
-PulseService::prepareCache(PulseCache &cache,
-                           const std::string &backend) const
+std::unique_ptr<PulseGenerator>
+PulseService::makeGenerator(const std::string &backend,
+                            QuotaToken &quota) const
 {
+    std::unique_ptr<PulseGenerator> generator;
+    if (backend == "grape") {
+        auto grape = std::make_unique<GrapePulseGenerator>(options_.grape);
+        grape->setSeedDistance(options_.grapeSeedDistance);
+        if (checkpoints_)
+            grape->setCheckpoints(checkpoints_.get(),
+                                  options_.checkpointEvery);
+        generator = std::move(grape);
+    } else {
+        generator = std::make_unique<SpectralPulseGenerator>();
+    }
+    generator->setQuota(&quota);
+
+    PulseCache &cache = generator->cache();
     const std::vector<CachedPulse> &epoch =
         backend == "grape" ? epoch_grape_ : epoch_spectral_;
     // Warm first, then attach: epoch entries must not echo back into
@@ -237,6 +261,7 @@ PulseService::prepareCache(PulseCache &cache,
         // In-memory daemon with a tier: publish derivations straight
         // from the cache (there is no library to chain behind).
         cache.attachStore(hooks.sink);
+    return generator;
 }
 
 Json
@@ -312,32 +337,12 @@ PulseService::handleCompile(const Json &request,
                             const CancelToken *cancel)
 {
     const CompileJob job = compileJobFromJson(request);
-    // Per-request generators warmed from the frozen epoch: snapshot
-    // isolation (see the class comment).
-    SpectralPulseGenerator spectral;
-    GrapePulseGenerator grape(options_.grape);
-    grape.setSeedDistance(options_.grapeSeedDistance);
-    if (checkpoints_)
-        grape.setCheckpoints(checkpoints_.get(),
-                             options_.checkpointEvery);
-    PulseGenerator &generator =
-        job.backend == "grape"
-            ? static_cast<PulseGenerator &>(grape)
-            : static_cast<PulseGenerator &>(spectral);
-    // Per-request budget: server caps tightened by request overrides.
-    // The token is attached even with no limit configured -- it then
-    // never trips but still counts iterations, which the fleet server
-    // charges against the tenant's replenishing budget.
-    const QuotaLimits limits =
-        resolveQuota(options_.quotaLimits, quotaFromRequest(request));
-    const bool degrade =
-        request.get("degrade_on_quota", Json(false)).asBool();
-    QuotaToken quota(limits, degrade);
-    generator.setQuota(&quota);
-    generator.setCancel(cancel);
-    prepareCache(generator.cache(), job.backend);
+    QuotaToken quota =
+        requestToken(options_.quotaLimits, request, cancel);
+    const std::unique_ptr<PulseGenerator> generator =
+        makeGenerator(job.backend, quota);
     const CompileReport report = runCompileJob(
-        job, generator, derivesSerially(limits, degrade) ? 1 : 0);
+        job, *generator, derivesSerially(quota) ? 1 : 0);
     compiles_.fetch_add(1, std::memory_order_relaxed);
     pulse_calls_.fetch_add(report.pulseCalls,
                            std::memory_order_relaxed);
@@ -345,7 +350,7 @@ PulseService::handleCompile(const Json &request,
 
     Json r = Json::object();
     r.set("ok", Json(true));
-    r.set("payload", compilePayload(job, report, generator));
+    r.set("payload", compilePayload(job, report, *generator));
     Json stats = Json::object();
     stats.set("pulse_calls", Json(report.pulseCalls));
     stats.set("cache_hits", Json(report.cacheHits));
@@ -379,28 +384,14 @@ PulseService::handleGenerate(const Json &request,
         PAQOC_FATAL_IF(request.at("num_qubits").asInt() != num_qubits,
                        "num_qubits does not match the unitary");
 
-    SpectralPulseGenerator spectral;
-    GrapePulseGenerator grape(options_.grape);
-    grape.setSeedDistance(options_.grapeSeedDistance);
-    if (checkpoints_)
-        grape.setCheckpoints(checkpoints_.get(),
-                             options_.checkpointEvery);
-    PulseGenerator &generator = backend == "grape"
-        ? static_cast<PulseGenerator &>(grape)
-        : static_cast<PulseGenerator &>(spectral);
-    const QuotaLimits limits =
-        resolveQuota(options_.quotaLimits, quotaFromRequest(request));
-    const bool degrade =
-        request.get("degrade_on_quota", Json(false)).asBool();
-    QuotaToken quota(limits, degrade);
-    generator.setQuota(&quota);
-    generator.setCancel(cancel);
-    prepareCache(generator.cache(), backend);
-    ThreadPool *pool = derivesSerially(limits, degrade)
-        ? nullptr
-        : &ThreadPool::global();
+    QuotaToken quota =
+        requestToken(options_.quotaLimits, request, cancel);
+    const std::unique_ptr<PulseGenerator> generator =
+        makeGenerator(backend, quota);
+    ThreadPool *pool =
+        derivesSerially(quota) ? nullptr : &ThreadPool::global();
     const PulseGenResult result =
-        generator.generateBatch({{unitary, num_qubits}}, pool).front();
+        generator->generateBatch({{unitary, num_qubits}}, pool).front();
     generates_.fetch_add(1, std::memory_order_relaxed);
     pulse_calls_.fetch_add(1, std::memory_order_relaxed);
     cache_hits_.fetch_add(result.cacheHit ? 1 : 0,

@@ -50,10 +50,12 @@ struct ServiceOptions
     /** GRAPE iterations between checkpoint snapshots (0 disables). */
     int checkpointEvery = 0;
     /**
-     * Server-side budget caps (0 = unlimited). Requests may carry
-     * their own `max_iters` / `max_wall_ms` / `max_resident_pulses`
-     * members; the effective budget is resolveQuota(caps, request) --
-     * a request can tighten but never widen these.
+     * Server-side caps on counted work (0 = unlimited). Requests may
+     * carry their own `max_iters` / `max_resident_pulses` members; the
+     * effective budget is resolveQuota(caps, request) -- a request can
+     * tighten but never widen these. A request's `max_wall_ms` is not
+     * a count: the socket server turns it into the request's deadline
+     * (ServerOptions::maxWallMs).
      */
     QuotaLimits quotaLimits;
     /**
@@ -158,12 +160,12 @@ class PulseService
 
     /**
      * Cancellation-aware variant (DESIGN.md §15): `cancel` (may be
-     * null) is the request's cooperative token. Handlers thread it
-     * into the pulse generator, which polls it per GRAPE iteration
-     * and per batch item; a tripped token unwinds as a structured
-     * {"ok": false, "cancelled": true, "reason": ...} response with
-     * iters_charged, after checkpointing in-progress GRAPE state so a
-     * re-request resumes instead of restarting.
+     * null) is the request's cooperative token. Handlers fold it into
+     * the request's QuotaToken, which the pulse generator checks per
+     * GRAPE iteration and per batch item; a tripped token unwinds as
+     * a structured {"ok": false, "cancelled": true, "reason": ...}
+     * response with iters_charged, after checkpointing in-progress
+     * GRAPE state so a re-request resumes instead of restarting.
      */
     Json handle(const Json &request, const CancelToken *cancel);
 
@@ -215,11 +217,12 @@ class PulseService
     Json handleGenerate(const Json &request, const CancelToken *cancel);
 
     /**
-     * Warm a per-request cache from the frozen epoch and attach the
-     * matching library so new derivations are journaled.
+     * The request's generator for `backend`, metered by `quota`: its
+     * cache is warmed from the frozen epoch and then attached to the
+     * matching library (and tier) so new derivations are journaled.
      */
-    void prepareCache(PulseCache &cache,
-                      const std::string &backend) const;
+    std::unique_ptr<PulseGenerator>
+    makeGenerator(const std::string &backend, QuotaToken &quota) const;
 
     ServiceOptions options_;
     /** Frozen at construction; per-request caches warm from these. */

@@ -198,12 +198,6 @@ TierClient::fetch(const std::string &key, const CancelToken *cancel)
         ++counters_.fetchRejected;
         return std::nullopt;
     }
-    return fetch(key);
-}
-
-std::optional<CachedPulse>
-TierClient::fetch(const std::string &key)
-{
     try {
         LegResult result;
 

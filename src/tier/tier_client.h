@@ -114,16 +114,15 @@ class TierClient : public PulseTierSource, public PulseStoreSink
     TierClient(const TierClient &) = delete;
     TierClient &operator=(const TierClient &) = delete;
 
-    /** PulseTierSource: hedged, verified read-through. Never throws. */
-    std::optional<CachedPulse> fetch(const std::string &key) override;
-
     /**
-     * Deadline-aware read-through (DESIGN.md §15): a cancelled token
-     * skips the tier outright, and a remaining deadline that cannot
-     * fund one full tier op (opTimeoutMs) skips it too -- per-leg
-     * socket timeouts are fixed at connect time, so the only honest
-     * way to respect a tight budget is not to start the op. Both
-     * skips count as fetchRejected and mean "compute locally".
+     * PulseTierSource: hedged, verified read-through. Never throws.
+     * Deadline-aware (DESIGN.md §15): a cancelled token skips the
+     * tier outright, and a remaining deadline that cannot fund one
+     * full tier op (opTimeoutMs) skips it too -- per-leg socket
+     * timeouts are fixed at connect time, so the only honest way to
+     * respect a tight budget is not to start the op. Both skips count
+     * as fetchRejected and mean "compute locally". A null token
+     * means no deadline.
      */
     std::optional<CachedPulse>
     fetch(const std::string &key, const CancelToken *cancel) override;

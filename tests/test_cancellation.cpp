@@ -2,7 +2,7 @@
  * @file
  * Tests for end-to-end cancellation and adaptive overload control
  * (DESIGN.md §15): the CancelSource/CancelToken primitive (reasons,
- * deadlines, parent links, the `cancel.poll` failpoint), cancellation
+ * deadlines, the `cancel.poll` failpoint), cancellation
  * threaded through the scheduler and the PulseService, the wire-level
  * `cancel` op and disconnect detection, and the OverloadController's
  * brownout ladder (driven deterministically by `overload.clock`).
@@ -114,28 +114,16 @@ TEST(Cancellation, FutureDeadlineDoesNotTripEarly)
     EXPECT_FALSE(std::isinf(token.remainingMs()));
 }
 
-TEST(Cancellation, ParentCancellationPropagatesToChildren)
+TEST(Cancellation, ArmingAgainOnlyTightensTheDeadline)
 {
-    CancelSource parent;
-    CancelSource child(parent.token());
-    const CancelToken token = child.token();
-    EXPECT_FALSE(token.cancelled());
-
-    parent.cancel(CancelReason::Shutdown);
-    EXPECT_TRUE(token.cancelled());
-    // The child inherits the parent's reason, not a generic one.
-    EXPECT_EQ(token.reason(), CancelReason::Shutdown);
-}
-
-TEST(Cancellation, TightestDeadlineAlongTheParentChainWins)
-{
+    // The server tightens a running request's deadline by its wall
+    // bound on the one source; a looser bound changes nothing.
     const auto now = CancelSource::Clock::now();
-    CancelSource parent;
-    parent.armDeadline(now + std::chrono::hours(1));
-    CancelSource child(parent.token());
-    child.armDeadline(now + std::chrono::hours(2));
-    // The child's own deadline is looser; the parent's governs.
-    EXPECT_EQ(child.token().deadline(), now + std::chrono::hours(1));
+    CancelSource source;
+    EXPECT_TRUE(source.armDeadline(now + std::chrono::hours(2)));
+    EXPECT_TRUE(source.armDeadline(now + std::chrono::hours(1)));
+    EXPECT_FALSE(source.armDeadline(now + std::chrono::hours(3)));
+    EXPECT_EQ(source.token().deadline(), now + std::chrono::hours(1));
 }
 
 TEST(Cancellation, PollFailpointForcesAnExplicitCancel)

@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "circuit/gate.h"
 #include "common/failpoint.h"
 #include "common/quota.h"
+#include "linalg/unitary_util.h"
 #include "qoc/device.h"
 #include "qoc/grape.h"
 #include "qoc/pulse_cache.h"
@@ -201,6 +203,35 @@ TEST(CheckpointResume, InterruptedTrialResumesByteIdentical)
     const CheckpointStore::Stats st = store.stats();
     EXPECT_GE(st.resumedTrials, 1u);
     EXPECT_GE(st.recordsRecovered, 1u);
+}
+
+TEST(CheckpointResume, HardTripSnapshotsTheTripIteration)
+{
+    // Every unwind snapshots first, a hard quota trip included: the
+    // budget of 10 trips at iteration 11, between the periodic
+    // snapshots at 8 and 12, and the resume starts at 12.
+    FailpointGuard guard;
+    const GrapeOptions opts = stubbornGrape();
+    const GrapeResult reference = runTrial(GrapeRuntime{}, opts);
+
+    CheckpointStore store(scratchDir("trip_iteration"), "fp-v1");
+    interruptRun(store, "k", opts, 10);
+    {
+        auto ckpt = store.openCheckpoint("k");
+        ASSERT_NE(ckpt, nullptr);
+        const GrapeTrialKey key{
+            matrixHash(Gate(Op::H, {0}).unitary()), 8, 0};
+        const std::optional<GrapeTrialState> state =
+            ckpt->trialState(key);
+        ASSERT_TRUE(state.has_value());
+        EXPECT_EQ(state->iteration, 11);
+    }
+
+    const GrapeResult resumed = resumeRun(store, "k", opts);
+    EXPECT_EQ(resumed.iterations, reference.iterations);
+    EXPECT_EQ(resumed.schedule.fidelity, reference.schedule.fidelity);
+    EXPECT_EQ(resumed.schedule.amplitudes,
+              reference.schedule.amplitudes);
 }
 
 TEST(CheckpointResume, CompletedRestartsReplayVerbatim)

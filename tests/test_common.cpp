@@ -353,21 +353,19 @@ TEST(Quota, ResolveTightensButNeverWidens)
 {
     QuotaLimits caps;
     caps.maxIters = 100;
-    caps.maxWallMs = 500.0;
 
     QuotaLimits request;            // empty request inherits the caps
     QuotaLimits r = resolveQuota(caps, request);
     EXPECT_EQ(r.maxIters, 100);
-    EXPECT_EQ(r.maxWallMs, 500.0);
     EXPECT_EQ(r.maxResidentPulses, 0);
 
     request.maxIters = 10;          // tighter than the cap: honored
-    request.maxWallMs = 9000.0;     // looser than the cap: clamped
     request.maxResidentPulses = 3;  // uncapped field: passed through
     r = resolveQuota(caps, request);
     EXPECT_EQ(r.maxIters, 10);
-    EXPECT_EQ(r.maxWallMs, 500.0);
     EXPECT_EQ(r.maxResidentPulses, 3);
+    // The same rule bounds the server's wall cap on a request.
+    EXPECT_EQ(resolveLimit(500.0, 9000.0), 500.0);
 
     request.maxIters = -5;          // junk never widens to unlimited
     r = resolveQuota(caps, request);
@@ -410,17 +408,45 @@ TEST(Quota, ResidentPulseAndWallClockBudgets)
     EXPECT_STREQ(token.limitName(), "max_resident_pulses");
     EXPECT_EQ(token.residentCharged(), 2);
 
-    // An already-expired wall budget trips on the first charge.
-    QuotaLimits wall;
-    wall.maxWallMs = 1e-9;
-    QuotaToken timed(wall);
-    EXPECT_FALSE(timed.chargeIterations(1));
-    EXPECT_STREQ(timed.limitName(), "max_wall_ms");
-
     // An unlimited token never trips.
     QuotaToken open_ended{QuotaLimits{}};
     EXPECT_TRUE(open_ended.chargeIterations(1 << 20));
     EXPECT_TRUE(open_ended.chargeResidentPulse());
+}
+
+TEST(Quota, StepChargesThenPollsTheRequestsCancellation)
+{
+    // One check per iteration: charge, then poll the cancel token the
+    // token carries.
+    QuotaLimits limits;
+    limits.maxIters = 1;
+    CancelSource source;
+    QuotaToken degrading(limits, true, source.token());
+    EXPECT_EQ(degrading.step(), QuotaToken::Step::Continue);
+    EXPECT_EQ(degrading.step(), QuotaToken::Step::StopDegraded);
+    // A degraded token still unwinds once the request is cancelled.
+    source.cancel(CancelReason::ClientDisconnected);
+    EXPECT_EQ(degrading.step(), QuotaToken::Step::Unwind);
+    try {
+        degrading.throwStop();
+        FAIL() << "expected CancelledError";
+    } catch (const CancelledError &e) {
+        EXPECT_EQ(e.reason(), CancelReason::ClientDisconnected);
+        EXPECT_EQ(e.itersCharged(), 2);
+    }
+
+    // Cancelled within budget: CancelledError. Once the budget trips
+    // too, the hard trip wins.
+    QuotaToken hard(limits, false, source.token());
+    EXPECT_EQ(hard.step(), QuotaToken::Step::Unwind);
+    EXPECT_THROW(hard.throwStop(), CancelledError);
+    EXPECT_EQ(hard.step(), QuotaToken::Step::Unwind);
+    EXPECT_THROW(hard.throwStop(), QuotaExceededError);
+
+    // Without a cancel token nothing but the budget stops the work.
+    QuotaToken open_ended{QuotaLimits{}};
+    EXPECT_EQ(open_ended.step(), QuotaToken::Step::Continue);
+    EXPECT_NO_THROW(open_ended.throwIfCancelled());
 }
 
 TEST(BenchSnapshot, JsonRoundTripPreservesEverything)

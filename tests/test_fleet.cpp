@@ -666,6 +666,32 @@ TEST(FleetServer, BudgetExhaustionIsIsolatedPerTenant)
     EXPECT_GT(tenants.at("a").at("window_iters").asNumber(), 0.0);
 }
 
+TEST(FleetServer, BindingWallBudgetAnswersBudgetExhausted)
+{
+    // The tenant's remaining wall budget tightens the request's
+    // deadline; when it is the binding bound and passes mid-request,
+    // the answer is the retryable budget error, not a cancellation.
+    ServerOptions opts = scratchServerOptions("wall_budget");
+    opts.tenantBudget.wallMs = 20.0;
+    opts.tenantBudget.windowMs = 120000.0;
+    ServerFixture fx({}, opts);
+
+    ServiceClient client(fx.server.socketPath());
+    Json request = Json::object();
+    request.set("op", Json("generate"));
+    request.set("backend", Json("grape"));
+    request.set("unitary",
+                protocol::matrixToJson(Gate(Op::CX, {0, 1}).unitary()));
+    request.set("tenant", Json("a"));
+    const Json r = client.request(request);
+    ASSERT_FALSE(r.at("ok").asBool());
+    EXPECT_TRUE(r.get("budget_exhausted", Json(false)).asBool())
+        << r.dump();
+    EXPECT_EQ(r.at("tenant").asString(), "a");
+    EXPECT_GT(r.at("retry_after_ms").asNumber(), 0.0);
+    EXPECT_FALSE(r.contains("cancelled"));
+}
+
 TEST(FleetServer, ExhaustedTenantCanOptIntoDegradedService)
 {
     ServiceOptions sopts;

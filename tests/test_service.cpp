@@ -548,6 +548,39 @@ TEST(PulseService, HardQuotaTripIndependentOfDaemonPoolSize)
     ThreadPool::setGlobalThreads(before);
 }
 
+TEST(PulseService, DegradeStopsTheSearchAtTheTrip)
+{
+    // Once a degrade-mode token trips, no further duration trial
+    // starts: each degraded pulse is the best effort where the bracket
+    // stood plus its stitched correction, not a walk up to the
+    // 4,096-slice cap. So a smaller budget buys less work, not more.
+    const ServiceOptions opts;
+    PulseService service(opts);
+    Json request = grapeCompileRequest(kThreeQubitQasm, "line:3", 2);
+    request.set("degrade_on_quota", Json(true));
+    request.set("max_iters", Json(8));
+    const Json small = service.handle(request);
+    ASSERT_TRUE(small.get("ok", Json(false)).asBool()) << small.dump();
+    int degraded = 0;
+    for (const Json &doc : small.at("payload").at("pulses").items()) {
+        if (!doc.get("degraded", Json(false)).asBool())
+            continue;
+        ++degraded;
+        EXPECT_LT(doc.at("latency_dt").asNumber(), 1000.0)
+            << doc.dump();
+    }
+    EXPECT_GE(degraded, 1);
+
+    request.set("max_iters", Json(100));
+    const Json larger = service.handle(request);
+    ASSERT_TRUE(larger.get("ok", Json(false)).asBool())
+        << larger.dump();
+    EXPECT_LT(small.at("stats").at("cost_units").asNumber(),
+              larger.at("stats").at("cost_units").asNumber())
+        << small.at("stats").dump() << " vs "
+        << larger.at("stats").dump();
+}
+
 TEST(PulseService, OverBudgetRequestLeavesOthersByteIdentical)
 {
     // The isolation acceptance criterion: one request exhausting its
@@ -607,11 +640,13 @@ TEST(PulseService, StatsReportDaemonAndCheckpointState)
 }
 
 ServerOptions
-unixServerOptions(const std::string &path, std::size_t max_queue)
+unixServerOptions(const std::string &path, std::size_t max_queue,
+                  double max_wall_ms = 0.0)
 {
     ServerOptions opts;
     opts.socketPath = path;
     opts.maxQueue = max_queue;
+    opts.maxWallMs = max_wall_ms;
     return opts;
 }
 
@@ -624,12 +659,13 @@ struct ServerFixture
 
     explicit ServerFixture(const std::string &name,
                            ServiceOptions sopts = {},
-                           std::size_t max_queue = 64)
+                           std::size_t max_queue = 64,
+                           double max_wall_ms = 0.0)
         : service(std::move(sopts)),
           server(service,
                  unixServerOptions("/tmp/paqoc_test_service_" + name
                                        + ".sock",
-                                   max_queue))
+                                   max_queue, max_wall_ms))
     {
         ::unlink(server.socketPath().c_str());
         server.start();
@@ -731,6 +767,68 @@ TEST(SocketServer, ExpiredDeadlineGetsFastError)
     EXPECT_FALSE(r.at("ok").asBool());
     EXPECT_NE(r.at("error").asString().find("deadline"),
               std::string::npos);
+    // Typed like a deadline that passes mid-run.
+    EXPECT_TRUE(r.get("cancelled", Json(false)).asBool()) << r.dump();
+    EXPECT_EQ(r.get("reason", Json("")).asString(), "deadline_exceeded");
+}
+
+/** The scheduler counters of a server's stats op. */
+Json
+schedulerStats(ServiceClient &client)
+{
+    Json stats = Json::object();
+    stats.set("op", Json("stats"));
+    const Json reply = client.request(stats);
+    EXPECT_TRUE(reply.at("ok").asBool());
+    return reply.at("payload").at("scheduler");
+}
+
+TEST(SocketServer, MaxWallMsIsADeadline)
+{
+    // A request's wall bound tightens its deadline once it starts
+    // running: a GRAPE derivation far longer than 1 ms stops at the
+    // next iteration and answers like any passed deadline.
+    ServerFixture fx("wall_deadline");
+    ServiceClient client(fx.server.socketPath());
+    Json req = grapeGenerateRequest(Gate(Op::CX, {0, 1}).unitary());
+    req.set("max_wall_ms", Json(1));
+    const Json r = client.request(req);
+    EXPECT_FALSE(r.at("ok").asBool());
+    EXPECT_TRUE(r.get("cancelled", Json(false)).asBool()) << r.dump();
+    EXPECT_EQ(r.get("reason", Json("")).asString(), "deadline_exceeded");
+    EXPECT_FALSE(r.contains("quota_exceeded"));
+
+    const Json sched = schedulerStats(client);
+    EXPECT_EQ(sched.at("cancelled").asInt(), 1);
+    EXPECT_EQ(sched.at("expired_running").asInt(), 1);
+    EXPECT_EQ(sched.at("quota_exceeded").asInt(), 0);
+
+    // Bounds too large for the clock are no bounds at all.
+    Json huge = grapeGenerateRequest(Gate(Op::H, {0}).unitary());
+    huge.set("backend", Json("spectral"));
+    huge.set("max_wall_ms", Json(1e300));
+    huge.set("deadline_ms", Json(1e300));
+    const Json served = client.request(huge);
+    EXPECT_TRUE(served.at("ok").asBool()) << served.dump();
+}
+
+TEST(SocketServer, ServerWallCapClampsTheRequest)
+{
+    // --max-wall-ms caps a request that asks for more (and one that
+    // asks for nothing).
+    ServerFixture fx("wall_cap", {}, 64, /*max_wall_ms=*/1.0);
+    ServiceClient client(fx.server.socketPath());
+    Json req = grapeGenerateRequest(Gate(Op::CX, {0, 1}).unitary());
+    req.set("max_wall_ms", Json(600000));
+    const Json r = client.request(req);
+    EXPECT_TRUE(r.get("cancelled", Json(false)).asBool()) << r.dump();
+    EXPECT_EQ(r.get("reason", Json("")).asString(), "deadline_exceeded");
+
+    const Json open =
+        client.request(grapeGenerateRequest(Gate(Op::CX, {0, 1}).unitary()));
+    EXPECT_TRUE(open.get("cancelled", Json(false)).asBool())
+        << open.dump();
+    EXPECT_EQ(schedulerStats(client).at("expired_running").asInt(), 2);
 }
 
 TEST(SocketServer, QuotaRejectionsShowUpInSchedulerStats)

@@ -590,7 +590,7 @@ TEST(TierClientReadWrite, MissThenWriteBehindThenHit)
 
     const Matrix cx = Gate(Op::CX, {0, 1}).unitary();
     const std::string key = PulseCache::canonicalKey(cx, 2);
-    EXPECT_FALSE(client.fetch(key).has_value());
+    EXPECT_FALSE(client.fetch(key, nullptr).has_value());
     EXPECT_EQ(client.counters().misses, 1u);
 
     // Write-behind: the publish happens on the background thread.
@@ -598,7 +598,7 @@ TEST(TierClientReadWrite, MissThenWriteBehindThenHit)
     ASSERT_TRUE(client.flush(5000.0));
     EXPECT_EQ(client.counters().published, 1u);
 
-    const std::optional<CachedPulse> got = client.fetch(key);
+    const std::optional<CachedPulse> got = client.fetch(key, nullptr);
     ASSERT_TRUE(got.has_value());
     EXPECT_TRUE(got->fromTier);
     EXPECT_DOUBLE_EQ(got->latency, 123.5);
@@ -644,7 +644,7 @@ TEST(TierClientReadWrite, CorruptTierEntryIsQuarantinedDeniedAndNeverJournaled)
     ASSERT_EQ(acq.role, PulseCache::FlightRole::Leader);
     PulseTierSource *source = cache.tierSource();
     ASSERT_NE(source, nullptr);
-    EXPECT_FALSE(source->fetch(key).has_value());
+    EXPECT_FALSE(source->fetch(key, nullptr).has_value());
     cache.completeFlight(cx, 2, makeEntry(cx, 2, 77.0));
 
     EXPECT_EQ(client.counters().quarantined, 1u);
@@ -656,7 +656,7 @@ TEST(TierClientReadWrite, CorruptTierEntryIsQuarantinedDeniedAndNeverJournaled)
     EXPECT_FALSE(tier.store.get("test-fp", key, &denied).has_value());
     EXPECT_TRUE(denied);
     // ...so a re-fetch is a denial, not a re-download.
-    EXPECT_FALSE(client.fetch(key).has_value());
+    EXPECT_FALSE(client.fetch(key, nullptr).has_value());
     EXPECT_EQ(client.counters().denied, 1u);
     // The local journal holds exactly the locally computed entry.
     EXPECT_EQ(lib.size(), 1u);
@@ -694,7 +694,7 @@ TEST(TierClientReadWrite, FetchSurvivesEveryInjectedFault)
         const std::uint64_t errors_before =
             client.counters().fetchErrors;
         fp::arm(point, "return-error");
-        EXPECT_FALSE(client.fetch(key).has_value()) << point;
+        EXPECT_FALSE(client.fetch(key, nullptr).has_value()) << point;
         fp::disarmAll();
         EXPECT_EQ(client.counters().fetchErrors, errors_before + 1)
             << point;
@@ -703,13 +703,13 @@ TEST(TierClientReadWrite, FetchSurvivesEveryInjectedFault)
     // A lying tier (tier.corrupt flips a byte after transport): the
     // record fails its CRC and is quarantined, not served.
     fp::arm("tier.corrupt", "return-error");
-    EXPECT_FALSE(client.fetch(key).has_value());
+    EXPECT_FALSE(client.fetch(key, nullptr).has_value());
     fp::disarmAll();
     EXPECT_GE(client.counters().quarantined, 1u);
 
     // With the faults gone (and the poisoned key denied upstream),
     // the client still never throws.
-    EXPECT_FALSE(client.fetch(key).has_value());
+    EXPECT_FALSE(client.fetch(key, nullptr).has_value());
     EXPECT_GE(client.counters().denied, 1u);
     client.stop();
 }
@@ -726,7 +726,7 @@ TEST(TierClientReadWrite, DeadEndpointTripsBreakerOpenAndRejects)
     tier::TierClient client(opts);
 
     for (int i = 0; i < 4; ++i)
-        EXPECT_FALSE(client.fetch("any-key").has_value());
+        EXPECT_FALSE(client.fetch("any-key", nullptr).has_value());
     const tier::TierClientCounters c = client.counters();
     EXPECT_GE(c.fetchErrors, 2u);
     EXPECT_GE(c.fetchRejected, 1u);
@@ -756,7 +756,7 @@ TEST(TierClientReadWrite, HedgedReadBeatsStalledPrimary)
     // The primary leg stalls (tier.stall fires on the primary only);
     // after hedgeDelayMs the replica is asked and answers first.
     fp::arm("tier.stall", "delay-ms(400)");
-    const std::optional<CachedPulse> got = client.fetch(key);
+    const std::optional<CachedPulse> got = client.fetch(key, nullptr);
     fp::disarmAll();
     ASSERT_TRUE(got.has_value());
     EXPECT_DOUBLE_EQ(got->latency, 55.0);

@@ -31,7 +31,8 @@
  *     --fallback-local           compile locally when the daemon is
  *                                unreachable after all retries
  *     --max-iters N              remote GRAPE iteration budget
- *     --max-wall-ms MS           remote wall-clock budget
+ *     --max-wall-ms MS           remote wall-clock bound: a deadline
+ *                                from when the request starts running
  *     --max-resident-pulses N    remote distinct-pulse budget
  *     --degrade-on-quota         accept best-effort pulses instead of
  *                                a quota_exceeded error
@@ -127,7 +128,8 @@ usage(int code)
         "  --fallback-local        compile locally when the daemon is "
         "unreachable\n"
         "  --max-iters N           remote GRAPE iteration budget\n"
-        "  --max-wall-ms MS        remote wall-clock budget\n"
+        "  --max-wall-ms MS        remote deadline, from when the "
+        "request starts\n"
         "  --max-resident-pulses N remote distinct-pulse budget\n"
         "  --degrade-on-quota      accept best-effort pulses instead "
         "of a quota error\n"

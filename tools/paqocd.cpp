@@ -28,7 +28,8 @@
  *     --checkpoint-dir DIR checkpoint directory
  *                          (default <library>/checkpoints)
  *     --max-iters N        per-request GRAPE iteration cap (0 = none)
- *     --max-wall-ms N      per-request wall-clock cap (0 = none)
+ *     --max-wall-ms N      cap on each request's deadline, measured
+ *                          from when it starts running (0 = none)
  *     --max-resident-pulses N  per-request distinct-pulse cap
  *     --grape-max-iters N  GRAPE maxIterations override (chaos tests)
  *     --fair-share         weighted fair-share admission across tenants
@@ -103,6 +104,7 @@ struct DaemonOptions
     int checkpointEvery = 0;
     std::string checkpointDir;
     QuotaLimits quota;
+    double maxWallMs = 0.0;
     int grapeMaxIters = 0;
     bool fairShare = false;
     std::map<std::string, int> tenantWeights;
@@ -142,7 +144,8 @@ usage(int code)
         "  --checkpoint-dir DIR checkpoint directory "
         "(default <library>/checkpoints)\n"
         "  --max-iters N        per-request GRAPE iteration cap\n"
-        "  --max-wall-ms N      per-request wall-clock cap\n"
+        "  --max-wall-ms N      cap on each request's deadline, "
+        "from its start\n"
         "  --max-resident-pulses N  per-request distinct-pulse cap\n"
         "  --grape-max-iters N  GRAPE maxIterations override\n"
         "  --fair-share         weighted fair-share admission\n"
@@ -246,7 +249,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--max-iters")
             opts.quota.maxIters = std::stol(next());
         else if (arg == "--max-wall-ms")
-            opts.quota.maxWallMs = std::stod(next());
+            opts.maxWallMs = std::stod(next());
         else if (arg == "--max-resident-pulses")
             opts.quota.maxResidentPulses = std::stol(next());
         else if (arg == "--grape-max-iters")
@@ -463,6 +466,7 @@ serve(const DaemonOptions &opts, const fleet::FleetWorkerContext &ctx)
     server_opts.controlFd = ctx.controlFd;
     server_opts.maxQueue = opts.maxQueue;
     server_opts.defaultDeadlineMs = opts.deadlineMs;
+    server_opts.maxWallMs = opts.maxWallMs;
     server_opts.fairShare = opts.fairShare;
     server_opts.tenantWeights = opts.tenantWeights;
     server_opts.tenantBudget = opts.budget;
