@@ -1,5 +1,6 @@
 #include "linalg/expm.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <iostream>
@@ -52,11 +53,42 @@ identityInto(Matrix &m, std::size_t n)
 }
 
 /**
+ * Give `m` the n x n shape, keeping its contents when it already has
+ * it: for buffers every element of which is written before it is read.
+ */
+void
+shapeInto(Matrix &m, std::size_t n)
+{
+    if (m.rows() != n || m.cols() != n)
+        m.resize(n, n);
+}
+
+/**
+ * Largest row sum of |re| + |im|: an upper bound on infinityNorm()
+ * (|z| <= |re z| + |im z|) that needs no hypot.
+ */
+double
+manhattanRowBound(const Matrix &a)
+{
+    double best = 0.0;
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+        double row_sum = 0.0;
+        for (std::size_t c = 0; c < a.cols(); ++c)
+            row_sum += std::abs(a(r, c).real()) + std::abs(a(r, c).imag());
+        best = std::max(best, row_sum);
+    }
+    return best;
+}
+
+/**
  * exp(ws.as) -> out. Consumes the workspace contents; every product
  * lands in a preallocated buffer via matmulInto, so a warm workspace
- * performs zero heap allocations. The arithmetic (and therefore the
- * bits) matches the historical allocate-per-product implementation
- * operation for operation.
+ * performs zero heap allocations, and only the buffers read before
+ * they are written (the Pade accumulators and the identity) are
+ * zeroed. The arithmetic (and therefore the bits) matches the
+ * historical allocate-per-product implementation operation for
+ * operation. The result leaves by swap; `ws.r` keeps out's old
+ * storage.
  */
 void
 expmCore(Matrix &out, ExpmWorkspace &ws)
@@ -64,8 +96,14 @@ expmCore(Matrix &out, ExpmWorkspace &ws)
     const std::size_t n = ws.as.rows();
 
     // Scale so the argument norm is small enough for the Pade kernel.
-    const double norm = ws.as.infinityNorm();
+    // The hypot norm is needed only when its cheap upper bound does
+    // not already rule squaring out; the margin below 0.5 absorbs the
+    // two sums' rounding, so "no squaring" is decided exactly as the
+    // norm would decide it.
     int squarings = 0;
+    const double norm = manhattanRowBound(ws.as) <= 0.5 * (1.0 - 1e-12)
+        ? 0.0
+        : ws.as.infinityNorm();
     if (norm > 0.5) {
         squarings = static_cast<int>(std::ceil(std::log2(norm / 0.5)));
         if (squarings > kMaxSquarings) {
@@ -78,7 +116,7 @@ expmCore(Matrix &out, ExpmWorkspace &ws)
 
     // Horner-style evaluation of even/odd parts: p = U + V, q = -U + V
     // with U odd powers, V even powers, exp(A) ~ q^{-1} p.
-    ws.a2.resize(n, n);
+    shapeInto(ws.a2, n);
     matmulInto(ws.as, ws.as, ws.a2);
     ws.even.resize(n, n);
     ws.odd.resize(n, n);
@@ -87,7 +125,7 @@ expmCore(Matrix &out, ExpmWorkspace &ws)
         ws.odd(i, i) = Complex(kPade6[1], 0.0);
     }
     identityInto(ws.pow, n); // a2^k
-    ws.tmp.resize(n, n);
+    shapeInto(ws.tmp, n);
     for (int k = 1; k <= 3; ++k) {
         matmulInto(ws.pow, ws.a2, ws.tmp);
         std::swap(ws.pow, ws.tmp);
@@ -97,20 +135,18 @@ expmCore(Matrix &out, ExpmWorkspace &ws)
             kernels::axpy(Complex(kPade6[2 * k + 1], 0.0),
                           ws.pow.data(), ws.odd.data(), n * n);
     }
-    ws.u.resize(n, n);
+    shapeInto(ws.u, n);
     matmulInto(ws.as, ws.odd, ws.u); // U = as * (odd-power sum)
     ws.q = ws.even;
     ws.q -= ws.u;   // q = V - U
     ws.even += ws.u; // even now holds p = V + U
-    ws.r.resize(n, n);
     solveLinearInPlace(ws.q, ws.even, ws.r);
 
     for (int s = 0; s < squarings; ++s) {
-        ws.tmp.resize(n, n);
         matmulInto(ws.r, ws.r, ws.tmp);
         std::swap(ws.r, ws.tmp);
     }
-    out = ws.r;
+    std::swap(out, ws.r);
 }
 
 } // namespace

@@ -13,7 +13,9 @@ namespace paqoc {
  * path exponentiates one slice Hamiltonian per time step per
  * iteration; without a workspace every call paid ~10 fresh n x n
  * allocations for the Pade ladder. All buffers are resized lazily, so
- * a default-constructed workspace is valid for any dimension.
+ * a default-constructed workspace is valid for any dimension, and keep
+ * their shape across calls. The result leaves by swap: the output
+ * matrix's previous storage becomes the workspace's `r`.
  */
 struct ExpmWorkspace
 {

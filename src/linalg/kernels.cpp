@@ -202,6 +202,30 @@ dotu(const Complex *x, const Complex *y, std::size_t n)
     return detail::dotuScalar(x, y, n);
 }
 
+Complex
+traceRowMap(const Complex *r, const Complex *f, const std::size_t *col,
+            const Complex *phase, std::size_t n)
+{
+    // Real arithmetic spelled out with std::complex's finite-multiply
+    // roundings (re = ar*br - ai*bi, im = ar*bi + ai*br).
+    double tr = 0.0, ti = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Complex p = phase[i];
+        if (p == Complex(0.0, 0.0))
+            continue;
+        const Complex *frow = f + col[i] * n;
+        for (std::size_t j = 0; j < n; ++j) {
+            const double fr = frow[j].real(), fi = frow[j].imag();
+            const double hr = 0.0 + (p.real() * fr - p.imag() * fi);
+            const double hi = 0.0 + (p.real() * fi + p.imag() * fr);
+            const Complex x = r[j * n + i]; // transpose(R)[i][j]
+            tr += x.real() * hr - x.imag() * hi;
+            ti += x.real() * hi + x.imag() * hr;
+        }
+    }
+    return Complex(tr, ti);
+}
+
 void
 adjointInto(const Complex *a, Complex *out, std::size_t rows,
             std::size_t cols)

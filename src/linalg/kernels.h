@@ -76,6 +76,19 @@ void axpy(Complex alpha, const Complex *x, Complex *y, std::size_t n);
 Complex dotu(const Complex *x, const Complex *y, std::size_t n);
 
 /**
+ * Tr(R H F) for n x n row-major R and F and a control H whose row i
+ * is phase[i] at column col[i] (phase[i] == 0: an all-zero row).
+ * Bit-identical to dotu(transpose(R), H F) with H F from gemmRows:
+ * row i of H F is +0 + phase[i] * F[col[i]], and the terms fold into
+ * the accumulator in the same ascending order with the same
+ * roundings. A zero row only adds signed zeros to an accumulator that
+ * is never -0, so it is skipped. One scalar path serves every backend.
+ */
+Complex traceRowMap(const Complex *r, const Complex *f,
+                    const std::size_t *col, const Complex *phase,
+                    std::size_t n);
+
+/**
  * out = conj(transpose(a)) with a: rows x cols row-major; out must be
  * pre-sized cols x rows and must not alias a.
  */

@@ -6,6 +6,27 @@
 
 namespace paqoc {
 
+namespace {
+
+/**
+ * dst[c] -= f * src[c] for c in [0, len): std::complex's finite
+ * multiply spelled out (re = fr*sr - fi*si, im = fr*si + fi*sr, each
+ * product and sum rounded once), minus its per-element NaN branch.
+ */
+void
+subtractScaledRow(Complex f, const Complex *src, Complex *dst,
+                  std::size_t len)
+{
+    const double fr = f.real(), fi = f.imag();
+    for (std::size_t c = 0; c < len; ++c) {
+        const double sr = src[c].real(), si = src[c].imag();
+        dst[c] = Complex(dst[c].real() - (fr * sr - fi * si),
+                         dst[c].imag() - (fr * si + fi * sr));
+    }
+}
+
+} // namespace
+
 Matrix
 solveLinear(Matrix a, Matrix b)
 {
@@ -45,17 +66,18 @@ solveLinearInPlace(Matrix &a, Matrix &b, Matrix &x)
             const Complex f = a(r, col) * inv_p;
             if (f == Complex(0.0, 0.0))
                 continue;
-            for (std::size_t c = col; c < n; ++c)
-                a(r, c) -= f * a(col, c);
-            for (std::size_t c = 0; c < m; ++c)
-                b(r, c) -= f * b(col, c);
+            subtractScaledRow(f, a.data() + col * n + col,
+                              a.data() + r * n + col, n - col);
+            subtractScaledRow(f, b.data() + col * m, b.data() + r * m,
+                              m);
         }
     }
 
-    // Back substitution.
+    // Back substitution: every x(k, c) it reads was written first.
     PAQOC_ASSERT(x.data() != a.data() && x.data() != b.data(),
                  "solveLinearInPlace output aliases an input");
-    x.resize(n, m);
+    if (x.rows() != n || x.cols() != m)
+        x.resize(n, m);
     for (std::size_t ri = n; ri-- > 0;) {
         for (std::size_t c = 0; c < m; ++c) {
             Complex s = b(ri, c);

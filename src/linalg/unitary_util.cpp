@@ -293,6 +293,73 @@ pauliSplitNorms(const Matrix &u, int num_qubits)
     return norms;
 }
 
+std::array<double, 3>
+weylCoordinates(const Matrix &u)
+{
+    PAQOC_FATAL_IF(u.rows() != 4 || u.cols() != 4,
+                   "weylCoordinates needs a 4x4 unitary, got ", u.rows(),
+                   "x", u.cols());
+    // Scale to det 1: det U is the product of the eigenvalues.
+    double phase_sum = 0.0;
+    for (double theta : unitaryEigenphases(u))
+        phase_sum += theta;
+    Matrix su = u;
+    su *= std::polar(1.0, -phase_sum / 4.0);
+
+    // m = B^dag U B in the magic basis; locals become real orthogonal,
+    // so the spectrum of m^T m carries only the canonical part.
+    const double s = 1.0 / std::sqrt(2.0);
+    const Complex si(0.0, s);
+    const Matrix b{{s, si, 0.0, 0.0},
+                   {0.0, 0.0, si, s},
+                   {0.0, 0.0, si, -s},
+                   {s, -si, 0.0, 0.0}};
+    const Matrix m = b.adjoint() * su * b;
+    const std::vector<double> phases =
+        unitaryEigenphases(m.transpose() * m);
+
+    std::array<double, 4> d{};
+    for (std::size_t j = 0; j < 4; ++j)
+        d[j] = -phases[j] / 2.0;
+    d[3] = -d[0] - d[1] - d[2];
+    const double pi2 = kPi / 2.0, pi4 = kPi / 4.0;
+    const auto mod = [](double x, double period) {
+        return x - period * std::floor(x / period);
+    };
+    std::array<double, 3> cs{};
+    std::array<double, 3> folded{};
+    for (std::size_t j = 0; j < 3; ++j) {
+        cs[j] = mod((d[j] + d[3]) / 2.0, 2.0 * kPi);
+        const double r = mod(cs[j], pi2);
+        folded[j] = std::min(r, pi2 - r);
+    }
+    // Middle, largest, smallest folded magnitude.
+    std::array<std::size_t, 3> order{0, 1, 2};
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return folded[a] < folded[b];
+                     });
+    std::array<double, 3> c{cs[order[1]], cs[order[2]], cs[order[0]]};
+
+    // Flip into the chamber.
+    int conjs = 0;
+    for (std::size_t j = 0; j < 2; ++j) {
+        if (c[j] > pi2)
+            c[j] -= 3.0 * pi2;
+        if (c[j] > pi4) {
+            c[j] = pi2 - c[j];
+            ++conjs;
+        }
+    }
+    if (c[2] > pi2)
+        c[2] -= 3.0 * pi2;
+    if (conjs == 1)
+        c[2] = pi2 - c[2];
+    if (c[2] > pi4)
+        c[2] -= pi2;
+    return {c[1], c[0], c[2]};
+}
+
 double
 traceFidelity(const Matrix &u, const Matrix &v)
 {

@@ -1,6 +1,7 @@
 #ifndef PAQOC_LINALG_UNITARY_UTIL_H_
 #define PAQOC_LINALG_UNITARY_UTIL_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -60,6 +61,17 @@ struct PauliSplitNorms
 };
 
 PauliSplitNorms pauliSplitNorms(const Matrix &u, int num_qubits);
+
+/**
+ * Weyl-chamber coordinates (c1, c2, c3) of a 4 x 4 unitary U: the
+ * canonical form U = k1 exp(i (c1 XX + c2 YY + c3 ZZ)) k2 with local
+ * k1, k2, folded into pi/4 >= c1 >= c2 >= |c3|. CX and CZ give
+ * (pi/4, 0, 0), iSWAP (pi/4, pi/4, 0), SWAP (pi/4, pi/4, pi/4).
+ * On the face c1 = pi/4 the sign of c3 is not unique. Computed from
+ * the eigenphases of m^T m with m = B^dag U B in the magic basis,
+ * after scaling U to det 1, folded as Qiskit's weyl_coordinates does.
+ */
+std::array<double, 3> weylCoordinates(const Matrix &u);
 
 /** Trace (process) fidelity |Tr(U^dagger V)|^2 / d^2 in [0, 1]. */
 double traceFidelity(const Matrix &u, const Matrix &v);

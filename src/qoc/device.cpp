@@ -38,12 +38,10 @@ DeviceModel::DeviceModel(int num_qubits,
 
     // Single-qubit sigma_x / sigma_y drives.
     for (int q = 0; q < num_qubits_; ++q) {
-        controls_.push_back(embedUnitary(pauliX(), {q}, num_qubits_));
-        bounds_.push_back(kOneQubitBound);
-        names_.push_back("x" + std::to_string(q));
-        controls_.push_back(embedUnitary(pauliY(), {q}, num_qubits_));
-        bounds_.push_back(kOneQubitBound);
-        names_.push_back("y" + std::to_string(q));
+        addControl(embedUnitary(pauliX(), {q}, num_qubits_),
+                   kOneQubitBound, "x" + std::to_string(q));
+        addControl(embedUnitary(pauliY(), {q}, num_qubits_),
+                   kOneQubitBound, "y" + std::to_string(q));
     }
 
     // XY exchange control per coupled pair: (XX + YY) / 2.
@@ -55,12 +53,38 @@ DeviceModel::DeviceModel(int num_qubits,
                                  num_qubits_)
             + embedUnitary(kron(pauliY(), pauliY()), {a, b}, num_qubits_);
         xy *= Complex(0.5, 0.0);
-        controls_.push_back(std::move(xy));
-        bounds_.push_back(kTwoQubitBound);
         std::ostringstream name;
         name << "xy" << a << b;
-        names_.push_back(name.str());
+        addControl(std::move(xy), kTwoQubitBound, name.str());
     }
+}
+
+void
+DeviceModel::addControl(Matrix h, double bound, std::string name)
+{
+    const std::size_t n = h.rows();
+    ControlRowMap map;
+    map.column.assign(n, 0);
+    map.phase.assign(n, Complex(0.0, 0.0));
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) {
+            const Complex v = h(r, c);
+            if (v == Complex(0.0, 0.0))
+                continue;
+            const bool unit = v == Complex(1.0, 0.0)
+                || v == Complex(-1.0, 0.0) || v == Complex(0.0, 1.0)
+                || v == Complex(0.0, -1.0);
+            PAQOC_FATAL_IF(!unit || map.phase[r] != Complex(0.0, 0.0),
+                           "control ", name,
+                           " is not one +-1/+-i entry per row");
+            map.column[r] = c;
+            map.phase[r] = v;
+        }
+    }
+    controls_.push_back(std::move(h));
+    row_maps_.push_back(std::move(map));
+    bounds_.push_back(bound);
+    names_.push_back(std::move(name));
 }
 
 Matrix

@@ -9,6 +9,19 @@
 namespace paqoc {
 
 /**
+ * Sparse form of one control Hamiltonian H_k: row i holds at most one
+ * nonzero, `phase[i]` (+-1 or +-i, bit for bit the dense entry) at
+ * column `column[i]`; `phase[i]` == 0 marks an all-zero row. GRAPE's
+ * gradient reads Tr(R H_k F) through it (kernels::traceRowMap)
+ * instead of forming H_k F.
+ */
+struct ControlRowMap
+{
+    std::vector<std::size_t> column;
+    std::vector<Complex> phase;
+};
+
+/**
  * Control-Hamiltonian model of a transmon subsystem with XY coupling,
  * the platform of the paper's evaluation (Section VI: control field
  * limit u_max = 0.02 GHz for two-qubit XY terms, 5 * u_max for
@@ -41,6 +54,8 @@ class DeviceModel
 
     std::size_t numControls() const { return controls_.size(); }
     const Matrix &control(std::size_t k) const { return controls_[k]; }
+    const ControlRowMap &controlRowMap(std::size_t k) const
+    { return row_maps_[k]; }
     double bound(std::size_t k) const { return bounds_[k]; }
     const std::string &controlName(std::size_t k) const
     { return names_[k]; }
@@ -60,8 +75,12 @@ class DeviceModel
                               Matrix &h) const;
 
   private:
+    /** Append a control with its row map; rejects any other form. */
+    void addControl(Matrix h, double bound, std::string name);
+
     int num_qubits_;
     std::vector<Matrix> controls_;
+    std::vector<ControlRowMap> row_maps_;
     std::vector<double> bounds_;
     std::vector<std::string> names_;
 };

@@ -1,6 +1,7 @@
 #include "qoc/grape.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.h"
@@ -53,8 +54,9 @@ class GrapeRun
         m_.assign(u_.size(), std::vector<double>(n_controls_, 0.0));
         v_.assign(u_.size(), std::vector<double>(n_controls_, 0.0));
         props_.resize(u_.size());
-        prefix_.resize(u_.size());
+        prefix_.assign(u_.size(), Matrix(dim_, dim_));
         identity_ = Matrix::identity(dim_);
+        tmp_.resize(dim_, dim_);
     }
 
     void
@@ -146,14 +148,11 @@ class GrapeRun
     // all (the historical code allocated ~6 matrices per slice per
     // iteration). Contents never survive an iteration, so reuse
     // cannot change results.
-    std::vector<Matrix> props_;      // slice propagators U_t
-    std::vector<Matrix> prefix_;     // prefix products F_t
-    Matrix hk_f_;                    // H_k * F_t of one control
+    std::vector<Matrix> props_;  // slice propagators U_t
+    std::vector<Matrix> prefix_; // prefix products F_t
     Matrix identity_;
     Matrix h_;   // slice Hamiltonian
-    Matrix acc_; // forward accumulator
     Matrix r_;   // backward accumulator R_t
-    Matrix r_t_; // R_t transposed
     Matrix tmp_; // matmulInto cannot alias; multiply here and swap
     ExpmWorkspace ews_;
     bool guess_seeded_ = false;
@@ -170,8 +169,9 @@ GrapeRun::fidelityAndGradient(std::vector<std::vector<double>> &grad,
     PropagatorCache *cache = guess_seeded_ ? rt.propCache : nullptr;
     guess_seeded_ = false;
 
-    // Forward pass: slice propagators and prefix products F_t.
-    acc_ = identity_;
+    // Forward pass: slice propagators and prefix products
+    // F_t = U_t F_{t-1}, each written straight into its slot
+    // (F_{-1} = I; the product with I is kept, it normalizes zeros).
     for (int t = 0; t < n_slices_; ++t) {
         const auto ts = static_cast<std::size_t>(t);
         const std::vector<double> &amps = u_[ts];
@@ -187,36 +187,32 @@ GrapeRun::fidelityAndGradient(std::vector<std::vector<double>> &grad,
             if (cache != nullptr)
                 cache->insert(amps, props_[ts]);
         }
-        tmp_.resize(dim_, dim_);
-        matmulInto(props_[ts], acc_, tmp_);
-        std::swap(acc_, tmp_);
-        prefix_[ts] = acc_;
+        matmulInto(props_[ts], t > 0 ? prefix_[ts - 1] : identity_,
+                   prefix_[ts]);
     }
-    // Tr(target^dag acc) as an elementwise dot with conj(target):
+    // Tr(target^dag F) as an elementwise dot with conj(target):
     // (target^dag)^T = conj(target), both matrices stream row-major.
-    const Complex g = traceOfProductT(target_conj_, acc_);
+    const Complex g = traceOfProductT(target_conj_, prefix_.back());
     const double fidelity = std::norm(g) / (d * d);
 
     // Backward pass: R_t = target^dag * U_N ... U_{t+1}; the gradient
     // of |g|^2/d^2 w.r.t. amplitude u_{t,k} with the first-order
     // propagator derivative -i dt H_k U_t is
     //   (2/d^2) * Re( conj(g) * Tr(R_t * (-i) * H_k * F_t) ).
+    // Every control has one +-1/+-i entry per row, so Tr(R_t H_k F_t)
+    // comes straight from R_t, F_t and the control's row map, bit for
+    // bit the dense product's trace (kernels::traceRowMap).
     r_ = target_adj_;
-    hk_f_.resize(dim_, dim_);
     for (int t = n_slices_ - 1; t >= 0; --t) {
         const auto ts = static_cast<std::size_t>(t);
-        const Matrix &hf_base = prefix_[ts];
-        // One transpose of R_t per backward step lets every control's
-        // trace stream contiguously instead of striding b's columns.
-        r_t_.resize(dim_, dim_);
-        kernels::transposeInto(r_.data(), r_t_.data(), dim_, dim_);
         for (std::size_t k = 0; k < n_controls_; ++k) {
-            matmulInto(device_.control(k), hf_base, hk_f_);
-            const Complex tr = traceOfProductT(r_t_, hk_f_);
+            const ControlRowMap &map = device_.controlRowMap(k);
+            const Complex tr = kernels::traceRowMap(
+                r_.data(), prefix_[ts].data(), map.column.data(),
+                map.phase.data(), dim_);
             const Complex dgrad = std::conj(g) * (Complex(0, -1) * tr);
             grad[ts][k] = 2.0 * dgrad.real() / (d * d);
         }
-        tmp_.resize(dim_, dim_);
         matmulInto(r_, props_[ts], tmp_);
         std::swap(r_, tmp_);
     }
@@ -484,20 +480,31 @@ findMinimumDuration(const DeviceModel &device, const Matrix &target,
 
     // Evaluate a deterministic set of candidate durations; with a pool
     // the candidates run concurrently, and the trial/iteration
-    // accounting always folds in candidate order.
-    auto eval_many = [&](const std::vector<int> &slices) {
+    // accounting always folds in candidate order. A candidate shorter
+    // than `floor` cannot converge: it is answered "not converged"
+    // without a trial, so it costs no iteration, quota or checkpoint.
+    auto eval_many = [&](const std::vector<int> &slices, double floor) {
         std::vector<GrapeResult> rs(slices.size());
-        auto trial = [&](std::size_t i) {
-            rs[i] = grapeOptimize(device, target, slices[i], options,
-                                  initial_guess, runtime_ref);
+        std::vector<std::size_t> run;
+        run.reserve(slices.size());
+        for (std::size_t i = 0; i < slices.size(); ++i) {
+            if (slices[i] < floor)
+                ++out.floorSkips;
+            else
+                run.push_back(i);
+        }
+        auto trial = [&](std::size_t j) {
+            rs[run[j]] = grapeOptimize(device, target, slices[run[j]],
+                                       options, initial_guess,
+                                       runtime_ref);
         };
-        if (pool != nullptr && slices.size() > 1)
-            pool->parallelFor(slices.size(), trial);
+        if (pool != nullptr && run.size() > 1)
+            pool->parallelFor(run.size(), trial);
         else
-            for (std::size_t i = 0; i < slices.size(); ++i)
-                trial(i);
-        for (const GrapeResult &r : rs) {
-            out.totalIterations += r.iterations;
+            for (std::size_t j = 0; j < run.size(); ++j)
+                trial(j);
+        for (std::size_t i : run) {
+            out.totalIterations += rs[i].iterations;
             ++out.trials;
         }
         return rs;
@@ -514,17 +521,19 @@ findMinimumDuration(const DeviceModel &device, const Matrix &target,
 
     // Exponential bracketing upward from the hint until convergence;
     // with probes >= 2 each round tests the next two octaves at once.
+    // Every bracketing trial runs, so the search only ever returns a
+    // pulse it optimized.
     int lo = 1;
     int hi = std::max(latency_hint, 4);
-    GrapeResult at_hi = eval_many({hi})[0];
+    GrapeResult at_hi = eval_many({hi}, 0.0)[0];
     while (!at_hi.converged && hi < kMaxSlices && !stopped()) {
         if (probes <= 1) {
             lo = hi + 1;
             hi *= 2;
-            at_hi = eval_many({hi})[0];
+            at_hi = eval_many({hi}, 0.0)[0];
         } else {
             const std::vector<GrapeResult> rs =
-                eval_many({hi * 2, hi * 4});
+                eval_many({hi * 2, hi * 4}, 0.0);
             if (rs[0].converged) {
                 lo = hi + 1;
                 hi *= 2;
@@ -547,7 +556,12 @@ findMinimumDuration(const DeviceModel &device, const Matrix &target,
 
     // Multi-probe narrowing for the shortest converging duration in
     // [lo, hi]: p candidates split the bracket into p+1 parts (p = 1
-    // is the classic binary search).
+    // is the classic binary search). Candidates below the two-qubit
+    // speed limit are skipped, not cut from the bracket: convergence
+    // is not monotone in duration, so the rounds and their candidates
+    // stay exactly those of a search that ran every trial.
+    const double floor =
+        twoQubitDurationFloor(device, target, options.targetInfidelity);
     GrapeResult best = at_hi;
     while (lo < hi && !stopped()) {
         const int width = hi - lo;
@@ -556,7 +570,7 @@ findMinimumDuration(const DeviceModel &device, const Matrix &target,
         mids.reserve(static_cast<std::size_t>(p));
         for (int i = 1; i <= p; ++i)
             mids.push_back(lo + (width * i) / (p + 1));
-        const std::vector<GrapeResult> rs = eval_many(mids);
+        const std::vector<GrapeResult> rs = eval_many(mids, floor);
         int found = -1;
         for (std::size_t i = 0; i < rs.size(); ++i) {
             if (rs[i].converged) {
@@ -573,8 +587,38 @@ findMinimumDuration(const DeviceModel &device, const Matrix &target,
             lo = mids.back() + 1;
         }
     }
+    // A degrade trip may have cut a trial short or ended the rounds:
+    // `best` meets the target but need not be the minimum.
+    out.stopped = stopped();
     out.schedule = std::move(best.schedule);
     return out;
+}
+
+double
+twoQubitDurationFloor(const DeviceModel &device, const Matrix &target,
+                      double infidelity)
+{
+    if (device.numQubits() != 2 || target.rows() != 4
+        || target.cols() != 4)
+        return 0.0;
+    // Controls past the 2n single-qubit drives are (XX+YY)/2 exchanges
+    // on the one pair (at least one); at amplitude u each has
+    // canonical rates (u/2, u/2, 0).
+    double h = 0.0;
+    for (std::size_t k = 2 * static_cast<std::size_t>(device.numQubits());
+         k < device.numControls(); ++k)
+        h += 0.5 * device.bound(k);
+    const std::array<double, 3> c = weylCoordinates(target);
+    // Fidelity >= 1 - infidelity moves each coordinate by at most
+    // delta = arccos(sqrt(1 - infidelity)) (DESIGN.md §16).
+    const double delta =
+        std::acos(std::sqrt(std::max(0.0, 1.0 - infidelity)));
+    // s-majorization of c by t (h, h, 0) (Vidal, Hammerer & Cirac;
+    // Khaneja, Brockett & Glaser).
+    return std::max({(c[0] - delta) / h,
+                     (c[0] + c[1] - c[2] - 3.0 * delta) / (2.0 * h),
+                     (c[0] + c[1] + c[2] - 3.0 * delta) / (2.0 * h),
+                     0.0});
 }
 
 Matrix

@@ -236,6 +236,11 @@ struct MinDurationResult
     /** Number of duration trials evaluated. */
     int trials = 0;
     /**
+     * Narrowing candidates the two-qubit speed limit answered "does
+     * not converge" without a trial (twoQubitDurationFloor).
+     */
+    int floorSkips = 0;
+    /**
      * False when even the duration cap failed to reach the target
      * fidelity, or a degrade trip stopped the search below it;
      * `schedule` then holds the best pulse found where the bracket
@@ -243,6 +248,12 @@ struct MinDurationResult
      * corrective segment and tags the result) instead of crashing.
      */
     bool converged = true;
+    /**
+     * True when a degrade-mode quota tripped during the search: the
+     * pulse may come from a bracket whose narrowing was cut short, so
+     * it can be longer than the minimum. Callers tag it degraded.
+     */
+    bool stopped = false;
 };
 
 /**
@@ -254,7 +265,11 @@ struct MinDurationResult
  * durations are optimized concurrently. The candidate set depends
  * only on the bracket (never on the pool), so the found duration,
  * trial count, and iteration totals are bit-identical for any thread
- * count, including the serial pool-less path.
+ * count, including the serial pool-less path. On a two-qubit device a
+ * narrowing candidate below twoQubitDurationFloor counts as not
+ * converged without a trial (`floorSkips`); it could not converge,
+ * so the rounds, their candidates and the pulse are those of a
+ * search that ran it.
  *
  * @param latency_hint Optional starting point for the bracket (e.g.,
  *        the analytical model's estimate); 0 means unknown.
@@ -272,12 +287,27 @@ MinDurationResult findMinimumDuration(
  * completed trials replay from the checkpoint and only the
  * interrupted one computes, yielding a byte-identical result. Once a
  * degrade-mode `runtime.quota` trips, no further trial starts: an
- * unconverged bracket returns converged = false, as at the cap.
+ * unconverged bracket returns converged = false, as at the cap, and a
+ * converged one returns `stopped`.
  */
 MinDurationResult findMinimumDuration(
     const DeviceModel &device, const Matrix &target,
     const GrapeOptions &options, int latency_hint,
     const PulseSchedule *initial_guess, const GrapeRuntime &runtime);
+
+/**
+ * Lower bound, in dt, on the duration of any pulse on a two-qubit
+ * `device` whose fidelity to `target` reaches 1 - `infidelity`: the
+ * exchange-only speed limit T(c) of the target's Weyl coordinates
+ * (weylCoordinates), each coordinate relaxed by the most a fidelity
+ * of 1 - infidelity lets it move. With infidelity 0 this is T(c)
+ * itself: 78.54 dt for CX and iSWAP, 117.81 dt for SWAP on
+ * DeviceModel(2). 0 for any device that is not two-qubit.
+ * findMinimumDuration's narrowing skips candidates below it
+ * (DESIGN.md §16).
+ */
+double twoQubitDurationFloor(const DeviceModel &device,
+                             const Matrix &target, double infidelity);
 
 /** Propagator realized by playing `schedule` on `device`. */
 Matrix schedulePropagator(const DeviceModel &device,

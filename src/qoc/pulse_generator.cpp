@@ -257,6 +257,11 @@ GrapePulseGenerator::generateOne(const Matrix &unitary, int num_qubits,
                 scheduleFidelity(device, unitary, min_dur.schedule);
             iterations += corrective.iterations;
             result.degraded = true;
+        } else if (min_dur.stopped) {
+            // A degrade trip cut the narrowing short: the pulse meets
+            // the target, so it needs no stitch, but it may be longer
+            // than the minimum. Tagged, no library or tier keeps it.
+            result.degraded = true;
         }
 
         result.latency = min_dur.schedule.latency();

@@ -11,11 +11,12 @@ OverloadController::observe(double delay_ms)
         return;
     MutexLock lock(mutex_);
     const Clock::time_point now = Clock::now();
-    const double window_age =
-        std::chrono::duration<double, std::milli>(now - window_start_)
-            .count();
+    // The first sample has no window yet: check for the min() sentinel
+    // before subtracting it, which would overflow.
     if (window_start_ == Clock::time_point::min()
-        || window_age >= options_.windowMs) {
+        || std::chrono::duration<double, std::milli>(now - window_start_)
+                .count()
+            >= options_.windowMs) {
         previous_min_ = current_min_;
         current_min_ = -1.0;
         window_start_ = now;

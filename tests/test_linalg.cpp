@@ -5,9 +5,12 @@
  * Hermitian Jacobi eigensolver, and unitary utilities.
  */
 
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -436,6 +439,147 @@ TEST(UnitaryUtil, ConcurrentFirstPauliSplitNormsAgree)
                          [static_cast<std::size_t>(k)],
                       norms(1 + (t + k) % 4))
                 << "thread " << t << ", call " << k;
+}
+
+Matrix
+pauliTwo(char p, char q)
+{
+    const auto one = [](char c) {
+        if (c == 'x')
+            return Matrix{{0.0, 1.0}, {1.0, 0.0}};
+        if (c == 'y')
+            return Matrix{{0.0, -kI}, {kI, 0.0}};
+        return Matrix{{1.0, 0.0}, {0.0, -1.0}};
+    };
+    return kron(one(p), one(q));
+}
+
+/** exp(i (c1 XX + c2 YY + c3 ZZ)). */
+Matrix
+canonicalGate(double c1, double c2, double c3)
+{
+    const Matrix h = pauliTwo('x', 'x') * Complex(c1, 0.0)
+        + pauliTwo('y', 'y') * Complex(c2, 0.0)
+        + pauliTwo('z', 'z') * Complex(c3, 0.0);
+    return expm(h * kI);
+}
+
+Matrix
+randomLocal(Rng &rng)
+{
+    return kron(randomUnitary(2, rng), randomUnitary(2, rng));
+}
+
+const Matrix kSwap{{1.0, 0.0, 0.0, 0.0},
+                   {0.0, 0.0, 1.0, 0.0},
+                   {0.0, 1.0, 0.0, 0.0},
+                   {0.0, 0.0, 0.0, 1.0}};
+
+/**
+ * `got` is the chamber point `want`: pi/4 >= c1 >= c2 >= |c3|, and on
+ * the face c1 = pi/4, where (pi/4, c2, c3) ~ (pi/4, c2, -c3), only
+ * |c3| is determined.
+ */
+void
+expectWeyl(const std::array<double, 3> &got,
+           const std::array<double, 3> &want, const std::string &what)
+{
+    constexpr double kTol = 1e-9;
+    EXPECT_NEAR(got[0], want[0], kTol) << what;
+    EXPECT_NEAR(got[1], want[1], kTol) << what;
+    if (std::abs(want[0] - kPi / 4) < kTol) {
+        EXPECT_NEAR(std::abs(got[2]), std::abs(want[2]), kTol) << what;
+    } else {
+        EXPECT_NEAR(got[2], want[2], kTol) << what;
+    }
+    EXPECT_LE(got[0], kPi / 4 + kTol) << what;
+    EXPECT_GE(got[0] + kTol, got[1]) << what;
+    EXPECT_GE(got[1] + kTol, std::abs(got[2])) << what;
+}
+
+TEST(WeylCoordinates, NamedGatesUnderRandomLocals)
+{
+    const Matrix cx{{1.0, 0.0, 0.0, 0.0},
+                    {0.0, 1.0, 0.0, 0.0},
+                    {0.0, 0.0, 0.0, 1.0},
+                    {0.0, 0.0, 1.0, 0.0}};
+    const Matrix cz{{1.0, 0.0, 0.0, 0.0},
+                    {0.0, 1.0, 0.0, 0.0},
+                    {0.0, 0.0, 1.0, 0.0},
+                    {0.0, 0.0, 0.0, -1.0}};
+    const Matrix iswap{{1.0, 0.0, 0.0, 0.0},
+                       {0.0, 0.0, kI, 0.0},
+                       {0.0, kI, 0.0, 0.0},
+                       {0.0, 0.0, 0.0, 1.0}};
+    const Complex p(0.5, 0.5), m(0.5, -0.5);
+    const Matrix sqrt_swap{{1.0, 0.0, 0.0, 0.0},
+                           {0.0, p, m, 0.0},
+                           {0.0, m, p, 0.0},
+                           {0.0, 0.0, 0.0, 1.0}};
+    const double q = kPi / 4, e = kPi / 8;
+    const std::vector<std::pair<std::string, std::pair<Matrix,
+                                                       std::array<double, 3>>>>
+        gates = {
+            {"cx", {cx, {q, 0.0, 0.0}}},
+            {"cz", {cz, {q, 0.0, 0.0}}},
+            {"iswap", {iswap, {q, q, 0.0}}},
+            {"swap", {kSwap, {q, q, q}}},
+            {"sqrt-swap", {sqrt_swap, {e, e, -e}}},
+            {"identity", {Matrix::identity(4), {0.0, 0.0, 0.0}}},
+        };
+    Rng rng(71);
+    for (const auto &[name, gate] : gates) {
+        expectWeyl(weylCoordinates(gate.first), gate.second, name);
+        for (int i = 0; i < 10; ++i) {
+            const Matrix dressed =
+                randomLocal(rng) * gate.first * randomLocal(rng)
+                * std::exp(kI * rng.uniform(-kPi, kPi));
+            expectWeyl(weylCoordinates(dressed), gate.second,
+                       name + " dressed " + std::to_string(i));
+        }
+    }
+}
+
+TEST(WeylCoordinates, RandomChamberPointsIncludingFaces)
+{
+    // k1 Can(c) k2 over the chamber, every fourth draw on one of its
+    // faces (c3 = 0, c1 = c2, c1 = pi/4), and each draw's
+    // qubit-swapped conjugate.
+    Rng rng(72);
+    for (int i = 0; i < 240; ++i) {
+        double c1 = rng.uniform(0, kPi / 4);
+        double c2 = rng.uniform(0, c1);
+        double c3 = rng.uniform(-c2, c2);
+        switch (i % 8) {
+          case 1:
+            c3 = 0.0;
+            break;
+          case 3:
+            c2 = c1;
+            break;
+          case 5:
+            c1 = kPi / 4;
+            break;
+          case 7:
+            c1 = c2 = kPi / 4;
+            c3 = rng.uniform(-c2, c2);
+            break;
+          default:
+            break;
+        }
+        const std::array<double, 3> want{c1, c2, c3};
+        const Matrix u =
+            randomLocal(rng) * canonicalGate(c1, c2, c3) * randomLocal(rng);
+        expectWeyl(weylCoordinates(u), want,
+                   "draw " + std::to_string(i));
+        expectWeyl(weylCoordinates(kSwap * u * kSwap), want,
+                   "swapped draw " + std::to_string(i));
+    }
+}
+
+TEST(WeylCoordinates, RejectsOtherShapes)
+{
+    EXPECT_THROW(weylCoordinates(Matrix::identity(2)), FatalError);
 }
 
 } // namespace

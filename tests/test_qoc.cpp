@@ -6,7 +6,10 @@
  */
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "linalg/expm.h"
+#include "linalg/kernels.h"
 #include "linalg/unitary_util.h"
 #include "qoc/device.h"
 #include "qoc/grape.h"
@@ -29,6 +33,7 @@ namespace paqoc {
 namespace {
 
 const Complex kI(0.0, 1.0);
+constexpr double kPi = 3.14159265358979323846;
 
 /** Propagate a pulse schedule on a device and return the unitary. */
 Matrix
@@ -719,6 +724,313 @@ TEST(Grape, PoolDoesNotChangeTheResult)
              k < pooled.schedule.amplitudes[t].size(); ++k)
             EXPECT_EQ(pooled.schedule.amplitudes[t][k],
                       serial.schedule.amplitudes[t][k]);
+}
+
+/** exp(i (c1 XX + c2 YY + c3 ZZ)). */
+Matrix
+canonicalGate(double c1, double c2, double c3)
+{
+    const Matrix x{{0.0, 1.0}, {1.0, 0.0}};
+    const Matrix y{{0.0, -kI}, {kI, 0.0}};
+    const Matrix z{{1.0, 0.0}, {0.0, -1.0}};
+    const Matrix h = kron(x, x) * Complex(c1, 0.0)
+        + kron(y, y) * Complex(c2, 0.0) + kron(z, z) * Complex(c3, 0.0);
+    return expm(h * kI);
+}
+
+/** A random one-qubit unitary, within `scale` of the identity. */
+Matrix
+randomOneQubit(Rng &rng, double scale)
+{
+    const Matrix h{{rng.uniform(-1, 1),
+                    Complex(rng.uniform(-1, 1), rng.uniform(-1, 1))},
+                   {0.0, rng.uniform(-1, 1)}};
+    Matrix herm = h + h.adjoint();
+    herm *= Complex(0.5 * scale, 0.0);
+    return expm(herm * Complex(0.0, -1.0));
+}
+
+Matrix
+randomLocal(Rng &rng, double scale = kPi)
+{
+    return kron(randomOneQubit(rng, scale), randomOneQubit(rng, scale));
+}
+
+Matrix
+iswapGate()
+{
+    return Matrix{{1.0, 0.0, 0.0, 0.0},
+                  {0.0, 0.0, kI, 0.0},
+                  {0.0, kI, 0.0, 0.0},
+                  {0.0, 0.0, 0.0, 1.0}};
+}
+
+/** The two-qubit targets the speed-limit tests probe. */
+std::vector<std::pair<std::string, Matrix>>
+speedLimitTargets()
+{
+    Circuit hcx(2);
+    hcx.h(0);
+    hcx.cx(0, 1);
+    const Matrix cx = Gate(Op::CX, {0, 1}).unitary();
+    std::vector<std::pair<std::string, Matrix>> targets = {
+        {"cx", cx},
+        {"cz", Gate(Op::CZ, {0, 1}).unitary()},
+        {"iswap", iswapGate()},
+        {"swap", Gate(Op::SWAP, {0, 1}).unitary()},
+        {"h.cx", circuitUnitary(hcx)},
+    };
+    Rng rng(93);
+    for (int i = 0; i < 3; ++i)
+        targets.emplace_back("cx block " + std::to_string(i),
+                             randomLocal(rng) * cx * randomLocal(rng));
+    return targets;
+}
+
+TEST(SpeedLimit, BoundValuesOnTheExchangeCoupler)
+{
+    // The (XX+YY)/2 exchange at |u| <= 0.02 has canonical rates
+    // (0.01, 0.01, 0) rad/dt, so T(c) = max(c1/0.01,
+    // (c1+c2-c3)/0.02, (c1+c2+c3)/0.02); fidelity 1 - eps relaxes each
+    // coordinate by delta = arccos(sqrt(1 - eps)).
+    const DeviceModel device(2);
+    const Matrix cx = Gate(Op::CX, {0, 1}).unitary();
+    const Matrix cz = Gate(Op::CZ, {0, 1}).unitary();
+    const Matrix swap = Gate(Op::SWAP, {0, 1}).unitary();
+    const double delta = std::acos(std::sqrt(1.0 - 1e-3));
+    EXPECT_NEAR(delta, 0.0316, 1e-4);
+    EXPECT_NEAR(twoQubitDurationFloor(device, cx, 0.0), 78.54, 5e-3);
+    EXPECT_NEAR(twoQubitDurationFloor(device, cz, 0.0), 78.54, 5e-3);
+    EXPECT_NEAR(twoQubitDurationFloor(device, iswapGate(), 0.0), 78.54,
+                5e-3);
+    EXPECT_NEAR(twoQubitDurationFloor(device, swap, 0.0), 117.81, 5e-3);
+    EXPECT_NEAR(twoQubitDurationFloor(device, cx, 1e-3),
+                (kPi / 4 - delta) / 0.01, 1e-7);
+    EXPECT_NEAR(twoQubitDurationFloor(device, cx, 1e-3), 75.38, 5e-3);
+    EXPECT_NEAR(twoQubitDurationFloor(device, swap, 1e-3),
+                (3 * kPi / 4 - 3 * delta) / 0.02, 1e-7);
+    EXPECT_NEAR(twoQubitDurationFloor(device, swap, 1e-3), 113.07, 5e-3);
+    // Locals, and devices of other widths, get no floor.
+    const Matrix local = kron(Gate(Op::H, {0}).unitary(),
+                              Gate(Op::T, {0}).unitary());
+    EXPECT_EQ(twoQubitDurationFloor(device, local, 1e-3), 0.0);
+    EXPECT_EQ(twoQubitDurationFloor(device, Matrix::identity(4), 0.0),
+              0.0);
+    EXPECT_EQ(twoQubitDurationFloor(DeviceModel(1),
+                                    Gate(Op::X, {0}).unitary(), 1e-3),
+              0.0);
+    EXPECT_EQ(twoQubitDurationFloor(DeviceModel(3), Matrix::identity(8),
+                                    1e-3),
+              0.0);
+}
+
+TEST(SpeedLimit, FidelityBoundsEachCoordinateShift)
+{
+    // Aligned canonical gates Can(c), Can(c + Delta) have fidelity
+    // F = prod cos^2 Delta_j + prod sin^2 Delta_j, and F <= cos^2
+    // Delta_j wherever |Delta_j| <= pi/4: F >= 1 - eps then moves the
+    // coordinate by at most delta.
+    Rng rng(94);
+    for (int i = 0; i < 300; ++i) {
+        const double c1 = rng.uniform(0, kPi / 4);
+        const double c2 = rng.uniform(0, c1);
+        const double c3 = rng.uniform(-c2, c2);
+        const double d[3] = {rng.uniform(-kPi / 4, kPi / 4),
+                             rng.uniform(-kPi / 4, kPi / 4),
+                             rng.uniform(-kPi / 2, kPi / 2)};
+        const double f = traceFidelity(
+            canonicalGate(c1, c2, c3),
+            canonicalGate(c1 + d[0], c2 + d[1], c3 + d[2]));
+        double cos2 = 1.0, sin2 = 1.0;
+        for (double dj : d) {
+            cos2 *= std::cos(dj) * std::cos(dj);
+            sin2 *= std::sin(dj) * std::sin(dj);
+        }
+        EXPECT_NEAR(f, cos2 + sin2, 1e-12) << i;
+        for (double dj : d) {
+            if (std::abs(dj) <= kPi / 4) {
+                EXPECT_LE(f, std::cos(dj) * std::cos(dj) + 1e-12) << i;
+            }
+        }
+    }
+}
+
+TEST(SpeedLimit, AlignedCanonicalFormsFitBestUnderLocals)
+{
+    // The relaxation assumes no local unitaries on either side raise
+    // the fidelity of two nearby canonical gates above their aligned
+    // value: sample near-identity locals around interior points.
+    Rng rng(95);
+    for (int i = 0; i < 200; ++i) {
+        const double c1 = rng.uniform(0.3, kPi / 4 - 0.1);
+        const double c2 = rng.uniform(0.15, c1 - 0.05);
+        const double c3 = rng.uniform(-c2 + 0.05, c2 - 0.05);
+        const double d[3] = {rng.uniform(-0.03, 0.03),
+                             rng.uniform(-0.03, 0.03),
+                             rng.uniform(-0.03, 0.03)};
+        const Matrix target = canonicalGate(c1, c2, c3);
+        const Matrix other =
+            canonicalGate(c1 + d[0], c2 + d[1], c3 + d[2]);
+        const double aligned = traceFidelity(target, other);
+        const double scale = i % 2 == 0 ? 0.05 : 0.5;
+        const double moved = traceFidelity(
+            target,
+            randomLocal(rng, scale) * other * randomLocal(rng, scale));
+        EXPECT_LE(moved, aligned + 1e-12) << i;
+    }
+}
+
+TEST(SpeedLimit, EveryUnitaryWithinTheTargetFidelityIsSlowerThanTheFloor)
+{
+    // The floor's soundness as GRAPE needs it: a pulse that converges
+    // realizes some V with fidelity >= 1 - eps to the target, and T(V)
+    // (the unrelaxed limit) is at least the target's relaxed floor.
+    const DeviceModel device(2);
+    const double eps = 1e-3;
+    const double delta = std::acos(std::sqrt(1.0 - eps));
+    Rng rng(96);
+    std::vector<std::pair<std::string, Matrix>> targets =
+        speedLimitTargets();
+    targets.emplace_back("sqrt-swap", canonicalGate(kPi / 8, kPi / 8,
+                                                    -kPi / 8));
+    for (const auto &[name, target] : targets) {
+        const double floor = twoQubitDurationFloor(device, target, eps);
+        int near_edge = 0;
+        for (int i = 0; i < 60; ++i) {
+            Matrix g(4, 4);
+            for (std::size_t r = 0; r < 4; ++r)
+                for (std::size_t c = 0; c < 4; ++c)
+                    g(r, c) = Complex(rng.uniform(-1, 1),
+                                      rng.uniform(-1, 1));
+            // Traceless, with eigenvalue variance (about 1 - fidelity)
+            // spread around eps.
+            Matrix h = g + g.adjoint();
+            const Complex mean = h.trace() / 4.0;
+            for (std::size_t d = 0; d < 4; ++d)
+                h(d, d) -= mean;
+            const double var = (h * h).trace().real() / 4.0;
+            h *= Complex(std::sqrt(rng.uniform(0.3, 1.2) * eps / var), 0.0);
+            const Matrix v = target * expm(h * Complex(0.0, -1.0));
+            const double f = traceFidelity(target, v);
+            if (f < 1.0 - eps)
+                continue;
+            near_edge += f < 1.0 - eps / 2 ? 1 : 0;
+            EXPECT_GE(twoQubitDurationFloor(device, v, 0.0), floor - 1e-9)
+                << name << " sample " << i << " fidelity " << f;
+        }
+        EXPECT_GE(near_edge, 1) << name;
+    }
+    // The CX edge itself: Can(pi/4 - delta, 0, 0) sits exactly at the
+    // fidelity target and exactly at the floor.
+    const Matrix cx = Gate(Op::CX, {0, 1}).unitary();
+    const Matrix edge = canonicalGate(kPi / 4 - delta, 0.0, 0.0);
+    EXPECT_NEAR(traceFidelity(canonicalGate(kPi / 4, 0.0, 0.0), edge),
+                1.0 - eps, 1e-12);
+    EXPECT_NEAR(twoQubitDurationFloor(device, edge, 0.0),
+                twoQubitDurationFloor(device, cx, eps), 1e-7);
+}
+
+TEST(SpeedLimit, GrapeFailsAtTheLongestSkippedDuration)
+{
+    const DeviceModel device(2);
+    const GrapeOptions opts;
+    for (const auto &[name, target] : speedLimitTargets()) {
+        const double floor =
+            twoQubitDurationFloor(device, target, opts.targetInfidelity);
+        const int longest = static_cast<int>(std::ceil(floor)) - 1;
+        ASSERT_GE(longest, 75) << name;
+        const GrapeResult r = grapeOptimize(device, target, longest, opts);
+        EXPECT_FALSE(r.converged)
+            << name << " converged at " << longest << " slices, below "
+            << "the floor " << floor << " (fidelity "
+            << r.schedule.fidelity << ")";
+    }
+}
+
+TEST(SpeedLimit, CxClassSearchSkipsCandidatesAndKeepsItsPulse)
+{
+    const DeviceModel device(2);
+    const Matrix cx = Gate(Op::CX, {0, 1}).unitary();
+    const SpectralLatencyModel model;
+    const MinDurationResult r = findMinimumDuration(
+        device, cx, GrapeOptions{}, static_cast<int>(model.latency(cx, 2)));
+    EXPECT_GE(r.floorSkips, 1);
+    EXPECT_GE(r.schedule.fidelity, 1.0 - 1e-3);
+    EXPECT_GE(r.schedule.latency(),
+              twoQubitDurationFloor(device, cx, 1e-3));
+}
+
+/** FNV-1a over a schedule's amplitude and fidelity bits. */
+std::uint64_t
+scheduleHash(const PulseSchedule &schedule)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](double x) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &x, sizeof bits);
+        for (int b = 0; b < 8; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const std::vector<double> &slice : schedule.amplitudes)
+        for (double a : slice)
+            mix(a);
+    mix(schedule.fidelity);
+    return h;
+}
+
+TEST(GrapeBytes, PinnedOnBothKernelBackends)
+{
+    // Stored pulses and checkpoints are served under
+    // PulseLibrary::grapeFingerprint. A change that moves GRAPE's
+    // output bytes must bump that fingerprint in the same change (and
+    // then re-pin these hashes): otherwise libraries written before it
+    // serve pulses that the new code would not derive.
+    const std::string bump =
+        "GRAPE's bytes moved: bump PulseLibrary::grapeFingerprint "
+        "(src/store/pulse_library.cpp) and re-pin this hash";
+    const kernels::Backend entry = kernels::activeBackend();
+    const SpectralLatencyModel model;
+    const Matrix cx = Gate(Op::CX, {0, 1}).unitary();
+    Circuit hcx(2);
+    hcx.h(0);
+    hcx.cx(0, 1);
+    const Matrix joint = circuitUnitary(hcx);
+    Circuit local3(3);
+    local3.h(0);
+    local3.s(1);
+    local3.x(2);
+    const Matrix u3 = circuitUnitary(local3);
+    for (const kernels::Backend backend :
+         {kernels::Backend::Scalar, kernels::Backend::Avx2}) {
+        kernels::setBackend(backend);
+        const std::string on =
+            std::string(" on ")
+            + kernels::backendName(kernels::activeBackend()) + ": "
+            + bump;
+        EXPECT_EQ(scheduleHash(
+                      grapeOptimize(DeviceModel(2), cx, 85).schedule),
+                  0x890288b9f914ade4ULL)
+            << "cx at 85 slices" << on;
+        const MinDurationResult two = findMinimumDuration(
+            DeviceModel(2), joint, GrapeOptions{},
+            static_cast<int>(model.latency(joint, 2)));
+        EXPECT_EQ(two.schedule.numSlices(), 79);
+        EXPECT_EQ(scheduleHash(two.schedule), 0x46af8597c638590bULL)
+            << "h.cx search" << on;
+        const MinDurationResult one = findMinimumDuration(
+            DeviceModel(1), Gate(Op::H, {0}).unitary(), GrapeOptions{},
+            16);
+        EXPECT_EQ(scheduleHash(one.schedule), 0x05acd9679cd483dcULL)
+            << "h search" << on;
+        const MinDurationResult three = findMinimumDuration(
+            DeviceModel(3), u3, GrapeOptions{},
+            static_cast<int>(model.latency(u3, 3)));
+        EXPECT_EQ(scheduleHash(three.schedule), 0x5fb3b7b6889a65d5ULL)
+            << "3-qubit h/s/x search" << on;
+    }
+    kernels::setBackend(entry);
 }
 
 } // namespace

@@ -23,6 +23,7 @@
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "common/thread_annotations.h"
+#include "qoc/pulse_cache.h"
 #include "qoc/pulse_generator.h"
 #include "service/client.h"
 #include "service/protocol.h"
@@ -509,7 +510,7 @@ TEST(PulseService, DegradedPayloadIndependentOfDaemonPoolSize)
     // so concurrent derivations and probes would shape the best-effort
     // pulses by their scheduling. Degraded requests derive serially
     // instead and repeat byte for byte on any pool. Unmetered, the
-    // two 2-qubit derivations spend about 5,100 iterations, so a
+    // two 2-qubit derivations spend about 2,700 iterations, so a
     // budget of 1,000 trips while they run.
     const unsigned before = ThreadPool::global().size();
     const ServiceOptions opts;
@@ -579,6 +580,70 @@ TEST(PulseService, DegradeStopsTheSearchAtTheTrip)
               larger.at("stats").at("cost_units").asNumber())
         << small.at("stats").dump() << " vs "
         << larger.at("stats").dump();
+}
+
+/** Records every entry a library-less service hands its tier sink. */
+class RecordingSink : public PulseStoreSink
+{
+  public:
+    void
+    onInsert(const std::string &, const CachedPulse &entry) override
+    {
+        MutexLock lock(mutex_);
+        entries_.push_back(entry);
+    }
+
+    std::vector<CachedPulse>
+    entries() const
+    {
+        MutexLock lock(mutex_);
+        return entries_;
+    }
+
+  private:
+    mutable Mutex mutex_;
+    std::vector<CachedPulse> entries_ PAQOC_GUARDED_BY(mutex_);
+};
+
+TEST(PulseService, StoppedNarrowingIsServedDegradedAndNeverKept)
+{
+    // max_iters 100 trips while the first derivation (h.cx) narrows:
+    // its bracket's 98-slice trial has converged, a shorter trial has
+    // not finished. That pulse meets the fidelity target but is longer
+    // than the minimum, so it is served tagged degraded: the library
+    // does not journal it, and a library-less daemon's tier sink gets
+    // the tag (TierClient publishes no degraded entry). After a
+    // restart, an unbudgeted compile derives the minimum, byte for
+    // byte what a library-less daemon serves.
+    const Json plain = grapeCompileRequest(kThreeQubitQasm, "line:3", 2);
+    Json budgeted = plain;
+    budgeted.set("degrade_on_quota", Json(true));
+    budgeted.set("max_iters", Json(100));
+    const std::string expected =
+        PulseService(ServiceOptions{}).handle(plain).at("payload").dump();
+
+    ServiceOptions opts;
+    opts.libraryDir = scratchDir("stopped_narrowing");
+    {
+        PulseService service(opts);
+        const Json r = service.handle(budgeted);
+        ASSERT_TRUE(r.get("ok", Json(false)).asBool()) << r.dump();
+        for (const Json &doc : r.at("payload").at("pulses").items())
+            EXPECT_TRUE(doc.get("degraded", Json(false)).asBool())
+                << doc.dump();
+        service.persist();
+    }
+    PulseService relaunched(opts);
+    EXPECT_EQ(relaunched.handle(plain).at("payload").dump(), expected);
+
+    RecordingSink sink;
+    ServiceOptions library_less;
+    library_less.tierGrape.sink = &sink;
+    PulseService service(library_less);
+    ASSERT_TRUE(service.handle(budgeted).get("ok", Json(false)).asBool());
+    ASSERT_FALSE(sink.entries().empty());
+    for (const CachedPulse &entry : sink.entries())
+        EXPECT_TRUE(entry.degraded) << entry.latency << " dt";
 }
 
 TEST(PulseService, OverBudgetRequestLeavesOthersByteIdentical)
