@@ -1,8 +1,9 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdint>
+#include <cstdlib>
 
 #include "common/error.h"
 
@@ -15,6 +16,7 @@ const Json kNullJson;
 void
 appendEscaped(std::string &out, const std::string &s)
 {
+    static constexpr char kHex[] = "0123456789abcdef";
     out += '"';
     for (unsigned char c : s) {
         switch (c) {
@@ -27,9 +29,9 @@ appendEscaped(std::string &out, const std::string &s)
         case '\t': out += "\\t"; break;
         default:
             if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
+                const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                   kHex[c & 0xf]};
+                out.append(u, sizeof u);
             } else {
                 out += static_cast<char>(c);
             }
@@ -44,17 +46,18 @@ appendNumber(std::string &out, double v)
     PAQOC_FATAL_IF(!std::isfinite(v),
                    "json: cannot serialize non-finite number");
     // Exact integers print without a fraction so counters look like
-    // counters; everything else uses %.17g for lossless round trips.
-    if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%lld",
-                      static_cast<long long>(v));
-        out += buf;
-        return;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += buf;
+    // counters; everything else prints 17 significant digits for
+    // lossless round trips. std::to_chars is specified as printf's
+    // "%lld" and "%.17g" here, so these are printf's bytes.
+    char buf[32];
+    std::to_chars_result res;
+    if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15)
+        res = std::to_chars(buf, buf + sizeof buf,
+                            static_cast<long long>(v));
+    else
+        res = std::to_chars(buf, buf + sizeof buf, v,
+                            std::chars_format::general, 17);
+    out.append(buf, res.ptr);
 }
 
 /** Recursive-descent parser over the raw text. */
@@ -297,12 +300,23 @@ class Parser
             ++pos_;
         PAQOC_FATAL_IF(pos_ == start, "json: unexpected character ",
                        where());
-        const std::string tok = text_.substr(start, pos_ - start);
-        char *end = nullptr;
-        const double v = std::strtod(tok.c_str(), &end);
-        PAQOC_FATAL_IF(end == tok.c_str() || *end != '\0'
-                           || !std::isfinite(v),
-                       "json: bad number '", tok, "' ", where());
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        double v = 0.0;
+        const std::from_chars_result res = std::from_chars(first, last, v);
+        bool ok = res.ec == std::errc() && res.ptr == last;
+        if (*first == '+' || res.ec == std::errc::result_out_of_range) {
+            // The two kinds of token strtod reads and from_chars does
+            // not: a leading '+', and an exponent out of range. strtod
+            // answers an underflow with a signed zero, which is kept,
+            // and an overflow with HUGE_VAL, which is rejected.
+            const std::string tok(first, last);
+            char *end = nullptr;
+            v = std::strtod(tok.c_str(), &end);
+            ok = end == tok.c_str() + tok.size() && std::isfinite(v);
+        }
+        PAQOC_FATAL_IF(!ok, "json: bad number '", std::string(first, last),
+                       "' ", where());
         return Json(v);
     }
 
@@ -451,6 +465,13 @@ std::string
 Json::dump() const
 {
     std::string out;
+    appendTo(out);
+    return out;
+}
+
+void
+Json::appendTo(std::string &out) const
+{
     switch (type_) {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += bool_ ? "true" : "false"; break;
@@ -461,7 +482,7 @@ Json::dump() const
         for (std::size_t i = 0; i < array_.size(); ++i) {
             if (i > 0)
                 out += ',';
-            out += array_[i].dump();
+            array_[i].appendTo(out);
         }
         out += ']';
         break;
@@ -473,13 +494,12 @@ Json::dump() const
                 out += ',';
             appendEscaped(out, object_[i].first);
             out += ':';
-            out += object_[i].second.dump();
+            object_[i].second.appendTo(out);
         }
         out += '}';
         break;
     }
     }
-    return out;
 }
 
 Json

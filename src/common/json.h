@@ -19,8 +19,16 @@ namespace paqoc {
  *    two structurally identical documents serialize byte-identically
  *    (the service's determinism guarantee leans on this).
  *  - Numbers are doubles; integral values in the exact-double range
- *    print without a decimal point, everything else prints with %.17g
- *    so doubles survive a round trip exactly.
+ *    (|v| < 2^53) print as printf's "%lld" would, everything else as
+ *    its "%.17g", so doubles survive a round trip exactly. -0.0 prints
+ *    "0". The writer formats with std::to_chars, whose output the
+ *    standard defines as printf's.
+ *  - The reader's numbers are strtod's, bit for bit: it converts each
+ *    token in place with std::from_chars, which agrees with strtod on
+ *    every token but two kinds, handed to strtod instead -- a leading
+ *    '+' ("+5" reads 5), and an exponent out of range, where an
+ *    underflow ("1e-400") reads as a signed zero and an overflow
+ *    ("1e400") is rejected. Non-finite numbers are rejected.
  *  - parse() raises FatalError with a line/column position on any
  *    malformed input; it never partially succeeds.
  */
@@ -90,6 +98,9 @@ class Json
     static Json parse(const std::string &text);
 
   private:
+    /** dump() into one growing buffer. */
+    void appendTo(std::string &out) const;
+
     Type type_ = Type::Null;
     bool bool_ = false;
     double number_ = 0.0;

@@ -1,9 +1,10 @@
 #include "qoc/pulse_cache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -36,25 +37,20 @@ phaseNormalized(const Matrix &u)
     return out;
 }
 
-std::string
-quantized(const Matrix &u)
+/**
+ * Append `v` rounded at 1e-4, as printf's "%.4f" prints it (the
+ * standard defines std::to_chars' fixed format so). Rounding first
+ * maps GRAPE noise to a stable key; the +0.0 folds negative zero.
+ */
+void
+appendQuantized(std::string &out, double v)
 {
-    std::string s;
-    s.reserve(u.rows() * u.cols() * 20);
-    char buf[48];
-    for (std::size_t r = 0; r < u.rows(); ++r) {
-        for (std::size_t c = 0; c < u.cols(); ++c) {
-            // Round at 1e-4 so GRAPE noise maps to a stable key; the
-            // +0.0 folds negative zero.
-            const double re =
-                std::round(u(r, c).real() * 1e4) / 1e4 + 0.0;
-            const double im =
-                std::round(u(r, c).imag() * 1e4) / 1e4 + 0.0;
-            std::snprintf(buf, sizeof buf, "%.4f,%.4f;", re, im);
-            s += buf;
-        }
-    }
-    return s;
+    const double q = std::round(v * 1e4) / 1e4 + 0.0;
+    // Room for any finite double in fixed notation.
+    char buf[std::numeric_limits<double>::max_exponent10 + 8];
+    const std::to_chars_result res = std::to_chars(
+        buf, buf + sizeof buf, q, std::chars_format::fixed, 4);
+    out.append(buf, res.ptr);
 }
 
 } // namespace
@@ -64,8 +60,19 @@ PulseCache::canonicalKey(const Matrix &unitary, int num_qubits)
 {
     PAQOC_ASSERT(unitary.rows() == (std::size_t{1} << num_qubits),
                  "unitary does not match qubit count");
-    return std::to_string(num_qubits) + ":"
-        + quantized(phaseNormalized(unitary));
+    const Matrix u = phaseNormalized(unitary);
+    std::string key = std::to_string(num_qubits);
+    key.reserve(key.size() + 1 + u.rows() * u.cols() * 16);
+    key += ':';
+    for (std::size_t r = 0; r < u.rows(); ++r) {
+        for (std::size_t c = 0; c < u.cols(); ++c) {
+            appendQuantized(key, u(r, c).real());
+            key += ',';
+            appendQuantized(key, u(r, c).imag());
+            key += ';';
+        }
+    }
+    return key;
 }
 
 PulseCache::Acquired
@@ -74,9 +81,8 @@ PulseCache::acquire(const Matrix &unitary, int num_qubits)
     const std::string key = canonicalKey(unitary, num_qubits);
     MutexLock lock(mutex_);
     for (;;) {
-        const auto hit = entries_.find(key);
-        if (hit != entries_.end())
-            return {FlightRole::Hit, hit->second};
+        if (const CachedPulse *hit = findLocked(key))
+            return {FlightRole::Hit, *hit};
         const auto it = flights_.find(key);
         if (it == flights_.end()) {
             flights_.emplace(key, std::make_shared<Flight>());
@@ -139,10 +145,25 @@ PulseCache::lookup(const Matrix &unitary, int num_qubits) const
 {
     const std::string key = canonicalKey(unitary, num_qubits);
     MutexLock lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it == entries_.end())
-        return nullptr;
-    return &it->second;
+    return findLocked(key);
+}
+
+bool
+PulseCache::containsKey(const std::string &key) const
+{
+    MutexLock lock(mutex_);
+    return findLocked(key) != nullptr;
+}
+
+const CachedPulse *
+PulseCache::findLocked(const std::string &key) const
+{
+    if (const auto it = entries_.find(key); it != entries_.end())
+        return &it->second;
+    if (epoch_ != nullptr)
+        if (const auto it = epoch_->find(key); it != epoch_->end())
+            return &it->second;
+    return nullptr;
 }
 
 void
@@ -172,6 +193,13 @@ PulseCache::attachStore(PulseStoreSink *sink)
 }
 
 void
+PulseCache::attachEpoch(std::shared_ptr<const PulseEpoch> epoch)
+{
+    MutexLock lock(mutex_);
+    epoch_ = std::move(epoch);
+}
+
+void
 PulseCache::attachTier(PulseTierSource *tier)
 {
     tier_.store(tier, std::memory_order_release);
@@ -198,7 +226,13 @@ std::size_t
 PulseCache::size() const
 {
     MutexLock lock(mutex_);
-    return entries_.size();
+    if (epoch_ == nullptr)
+        return entries_.size();
+    std::size_t n = entries_.size() + epoch_->size();
+    // paqoc-lint: allow(unordered-iteration) a count is order-free
+    for (const auto &[key, entry] : entries_)
+        n -= epoch_->count(key);
+    return n;
 }
 
 void
@@ -210,18 +244,21 @@ PulseCache::save(const std::string &path) const
     out.precision(17);
     MutexLock lock(mutex_);
     // Emit in canonical-key order so the file is byte-stable across
-    // STL hash implementations and insert histories.
+    // STL hash implementations and insert histories. Stitched fallback
+    // pulses are session-local best effort; a saved database must
+    // never freeze one in.
     std::vector<std::pair<const std::string *, const CachedPulse *>>
         ordered;
-    ordered.reserve(entries_.size());
+    ordered.reserve(entries_.size()
+                    + (epoch_ != nullptr ? epoch_->size() : 0));
     // paqoc-lint: allow(unordered-iteration) order folded by sort below
-    for (const auto &[key, e] : entries_) {
-        // Stitched fallback pulses are session-local best effort; a
-        // saved database must never freeze one in.
-        if (e.degraded)
-            continue;
-        ordered.emplace_back(&key, &e);
-    }
+    for (const auto &[key, e] : entries_)
+        if (!e.degraded)
+            ordered.emplace_back(&key, &e);
+    if (epoch_ != nullptr)
+        for (const auto &[key, e] : *epoch_)
+            if (!e.degraded && entries_.count(key) == 0)
+                ordered.emplace_back(&key, &e);
     std::sort(ordered.begin(), ordered.end(),
               [](const auto &a, const auto &b) {
                   return *a.first < *b.first;
@@ -336,26 +373,8 @@ PulseCache::nearest(const Matrix &unitary, int num_qubits,
                     double max_distance) const
 {
     MutexLock lock(mutex_);
-    const CachedPulse *best = nullptr;
-    double best_dist = max_distance;
-    // Tie-break on the canonical key (as nearestBefore does) so the
-    // selected entry never depends on hash-map iteration order.
-    const std::string *best_key = nullptr;
-    // paqoc-lint: allow(unordered-iteration) order folded by tie-break
-    for (const auto &[key, entry] : entries_) {
-        if (entry.numQubits != num_qubits)
-            continue;
-        const double d = phaseInvariantDistance(entry.unitary, unitary);
-        if (d > max_distance)
-            continue;
-        if (best == nullptr || d < best_dist
-            || (d == best_dist && key < *best_key)) {
-            best_dist = d;
-            best = &entry;
-            best_key = &key;
-        }
-    }
-    return best;
+    return nearestLocked(unitary, num_qubits, max_distance,
+                         std::numeric_limits<std::uint64_t>::max());
 }
 
 std::optional<CachedPulse>
@@ -364,30 +383,48 @@ PulseCache::nearestBefore(const Matrix &unitary, int num_qubits,
                           std::uint64_t generation_bound) const
 {
     MutexLock lock(mutex_);
+    const CachedPulse *best =
+        nearestLocked(unitary, num_qubits, max_distance, generation_bound);
+    if (best == nullptr)
+        return std::nullopt;
+    return *best;
+}
+
+const CachedPulse *
+PulseCache::nearestLocked(const Matrix &unitary, int num_qubits,
+                          double max_distance,
+                          std::uint64_t generation_bound) const
+{
     const CachedPulse *best = nullptr;
     double best_dist = 0.0;
     // Tie-break on the canonical key so equal-distance entries resolve
     // identically regardless of hash-map iteration order or of the
     // (thread-dependent) order concurrent inserts landed in.
     const std::string *best_key = nullptr;
-    // paqoc-lint: allow(unordered-iteration) order folded by tie-break
-    for (const auto &[key, entry] : entries_) {
-        if (entry.numQubits != num_qubits
-            || entry.generation >= generation_bound)
-            continue;
+    auto consider = [&](const std::string &key, const CachedPulse &entry) {
+        if (entry.numQubits != num_qubits)
+            return;
         const double d = phaseInvariantDistance(entry.unitary, unitary);
         if (d > max_distance)
-            continue;
+            return;
         if (best == nullptr || d < best_dist
             || (d == best_dist && key < *best_key)) {
             best_dist = d;
             best = &entry;
             best_key = &key;
         }
-    }
-    if (best == nullptr)
-        return std::nullopt;
-    return *best;
+    };
+    // paqoc-lint: allow(unordered-iteration) order folded by tie-break
+    for (const auto &[key, entry] : entries_)
+        if (entry.generation < generation_bound)
+            consider(key, entry);
+    // An own entry shadows the epoch's whatever its stamp, as an
+    // overwriting insert would have replaced it.
+    if (epoch_ != nullptr)
+        for (const auto &[key, entry] : *epoch_)
+            if (entries_.count(key) == 0)
+                consider(key, entry);
+    return best;
 }
 
 } // namespace paqoc

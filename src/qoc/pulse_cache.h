@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,6 +49,13 @@ struct CachedPulse
      */
     bool fromTier = false;
 };
+
+/**
+ * An immutable set of pulses keyed by PulseCache::canonicalKey and
+ * ordered by it: a durable library's contents, frozen once and read in
+ * place by every cache it is attached to (PulseCache::attachEpoch).
+ */
+using PulseEpoch = std::map<std::string, CachedPulse>;
 
 /**
  * Observer of cache inserts, implemented by the durable pulse library
@@ -121,6 +129,12 @@ class PulseTierSource
  * The pointer-returning lookup()/nearest() remain for single-threaded
  * use (tests, serial tools); concurrent code must use acquire() and
  * nearestBefore(), which hand out copies.
+ *
+ * Two levels: the cache's own table, which every insert lands in, over
+ * an optional immutable epoch (attachEpoch) shared with other caches.
+ * Every read sees their union, an own entry shadowing the epoch's
+ * entry of the same key, so attaching an epoch answers exactly as
+ * inserting its entries first would have -- without copying them.
  */
 class PulseCache
 {
@@ -143,9 +157,10 @@ class PulseCache
     };
 
     /**
-     * Single-flight entry point: returns the cached entry, waits for
-     * an in-flight computation of the same key, or elects the caller
-     * leader (who must publish via completeFlight or abortFlight).
+     * Single-flight entry point: returns the cached entry (own table
+     * or epoch), waits for an in-flight computation of the same key,
+     * or elects the caller leader (who must publish via completeFlight
+     * or abortFlight).
      */
     Acquired acquire(const Matrix &unitary, int num_qubits);
 
@@ -182,15 +197,23 @@ class PulseCache
      * `generation_bound` (copy returned). Batch drivers snapshot
      * generation() at batch start and pass it here so every request
      * in the batch seeds against the same, deterministic view of the
-     * cache no matter how the batch is scheduled.
+     * cache no matter how the batch is scheduled. Epoch entries count
+     * as inserted before any bound.
      */
     std::optional<CachedPulse> nearestBefore(
         const Matrix &unitary, int num_qubits, double max_distance,
         std::uint64_t generation_bound) const;
 
+    /** Distinct keys in the union of the own table and the epoch. */
     std::size_t size() const;
 
-    /** Count of inserts so far; stamps CachedPulse::generation. */
+    /** Whether `key` (a canonicalKey) resolves to an entry. */
+    bool containsKey(const std::string &key) const;
+
+    /**
+     * Count of inserts into the own table so far; stamps
+     * CachedPulse::generation. An attached epoch adds nothing.
+     */
     std::uint64_t generation() const
     { return generation_.load(std::memory_order_relaxed); }
 
@@ -212,10 +235,18 @@ class PulseCache
     /**
      * Attach a durable store: every entry published from now on is
      * forwarded to `sink` (null detaches). Call during single-threaded
-     * setup, after warming the cache from the store -- entries already
-     * present are NOT replayed to the sink.
+     * setup. Entries already present, and the epoch's, are NOT
+     * replayed to the sink.
      */
     void attachStore(PulseStoreSink *sink);
+
+    /**
+     * Attach an immutable epoch as the lower level under the own table
+     * (null detaches); see the class comment. Its keys must be the
+     * canonicalKey of each entry's unitary. Same setup discipline as
+     * attachStore.
+     */
+    void attachEpoch(std::shared_ptr<const PulseEpoch> epoch);
 
     /**
      * Attach the shared-tier read-through source (null detaches).
@@ -250,9 +281,25 @@ class PulseCache
                       int num_qubits, CachedPulse &&entry)
         PAQOC_REQUIRES(mutex_);
 
+    /** The entry `key` resolves to: own table first, then the epoch. */
+    const CachedPulse *findLocked(const std::string &key) const
+        PAQOC_REQUIRES(mutex_);
+
+    /**
+     * Closest entry of the width within max_distance among own entries
+     * stamped before `generation_bound` and unshadowed epoch entries;
+     * distance ties break on the canonical key.
+     */
+    const CachedPulse *nearestLocked(const Matrix &unitary, int num_qubits,
+                                     double max_distance,
+                                     std::uint64_t generation_bound) const
+        PAQOC_REQUIRES(mutex_);
+
     mutable Mutex mutex_;
     std::unordered_map<std::string, CachedPulse> entries_
         PAQOC_GUARDED_BY(mutex_);
+    /** Set in single-threaded setup; the map itself never changes. */
+    std::shared_ptr<const PulseEpoch> epoch_ PAQOC_GUARDED_BY(mutex_);
     std::unordered_map<std::string, std::shared_ptr<Flight>> flights_
         PAQOC_GUARDED_BY(mutex_);
     std::atomic<std::uint64_t> generation_{0};

@@ -34,44 +34,50 @@ PulseGenerator::generateBatch(const std::vector<PulseRequest> &requests,
     // Dedup identical canonical unitaries so the batch behaves exactly
     // like its serial replay: the first occurrence computes, later
     // ones become cache hits no matter which thread would have won the
-    // single-flight race.
+    // single-flight race. Distinct requests the cache (own table or
+    // epoch) already holds are lookups of microseconds: they run on
+    // the caller, and only the misses may wake the pool.
     std::vector<std::size_t> primary(requests.size());
-    std::vector<std::size_t> distinct;
-    distinct.reserve(requests.size());
+    std::vector<std::size_t> hits;
+    std::vector<std::size_t> misses;
+    misses.reserve(requests.size());
     if (dedupBatch()) {
         std::unordered_map<std::string, std::size_t> first;
         first.reserve(requests.size());
         for (std::size_t i = 0; i < requests.size(); ++i) {
-            const std::string key = PulseCache::canonicalKey(
+            std::string key = PulseCache::canonicalKey(
                 requests[i].unitary, requests[i].numQubits);
-            const auto [it, inserted] = first.emplace(key, i);
+            const bool cached = cache_.containsKey(key);
+            const auto [it, inserted] = first.emplace(std::move(key), i);
             primary[i] = it->second;
             if (inserted)
-                distinct.push_back(i);
+                (cached ? hits : misses).push_back(i);
         }
     } else {
         for (std::size_t i = 0; i < requests.size(); ++i) {
             primary[i] = i;
-            distinct.push_back(i);
+            misses.push_back(i);
         }
     }
 
-    auto run_one = [&](std::size_t j) {
+    auto run_one = [&](std::size_t i) {
         // Items not yet started stop here once the request is
         // cancelled; the one mid-derivation stops at its next GRAPE
         // iteration poll. Throwing before acquire() leaves no flight
         // to abort.
         if (quota() != nullptr)
             quota()->throwIfCancelled();
-        const PulseRequest &r = requests[distinct[j]];
-        out[distinct[j]] =
-            generateOne(r.unitary, r.numQubits, pool, horizon);
+        const PulseRequest &r = requests[i];
+        out[i] = generateOne(r.unitary, r.numQubits, pool, horizon);
     };
-    if (pool != nullptr && distinct.size() > 1)
-        pool->parallelFor(distinct.size(), run_one);
+    for (const std::size_t i : hits)
+        run_one(i);
+    if (pool != nullptr && misses.size() > 1)
+        pool->parallelFor(misses.size(),
+                          [&](std::size_t j) { run_one(misses[j]); });
     else
-        for (std::size_t j = 0; j < distinct.size(); ++j)
-            run_one(j);
+        for (const std::size_t i : misses)
+            run_one(i);
 
     // Fold duplicates and record in request order so the counters
     // accumulate exactly as a serial loop would.

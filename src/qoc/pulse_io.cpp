@@ -79,9 +79,9 @@ pulseFromCsv(const std::string &csv, const DeviceModel &device)
     return schedule;
 }
 
-std::string
-pulseToJson(const PulseSchedule &schedule, const DeviceModel &device,
-            bool degraded)
+Json
+pulseDocument(const PulseSchedule &schedule, const DeviceModel &device,
+              bool degraded)
 {
     Json doc = Json::object();
     doc.set("format", Json("paqoc-pulse-v1"));
@@ -110,7 +110,14 @@ pulseToJson(const PulseSchedule &schedule, const DeviceModel &device,
         rows.push(std::move(row));
     }
     doc.set("amplitudes", std::move(rows));
-    return doc.dump();
+    return doc;
+}
+
+std::string
+pulseToJson(const PulseSchedule &schedule, const DeviceModel &device,
+            bool degraded)
+{
+    return pulseDocument(schedule, device, degraded).dump();
 }
 
 PulseSchedule

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/json.h"
 #include "qoc/device.h"
 #include "qoc/pulse.h"
 
@@ -26,7 +27,7 @@ PulseSchedule pulseFromCsv(const std::string &csv,
                            const DeviceModel &device);
 
 /**
- * Render a pulse schedule as a self-describing JSON document:
+ * A pulse schedule as a self-describing JSON document:
  *
  *   {"format": "paqoc-pulse-v1", "num_qubits": n, "dt_slices": N,
  *    "latency_dt": N, "fidelity": f, "channels": ["x0", ...],
@@ -38,7 +39,12 @@ PulseSchedule pulseFromCsv(const std::string &csv,
  * the `paqocd` wire protocol. When `degraded` is set (a stitched
  * best-effort pulse, DESIGN.md §9) the document additionally carries
  * "degraded": true; healthy documents are unchanged byte for byte.
+ * Payloads embed the document as built; pulseToJson is its dump().
  */
+Json pulseDocument(const PulseSchedule &schedule, const DeviceModel &device,
+                   bool degraded = false);
+
+/** pulseDocument(...).dump(). */
 std::string pulseToJson(const PulseSchedule &schedule,
                         const DeviceModel &device,
                         bool degraded = false);

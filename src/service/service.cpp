@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <exception>
+#include <map>
 #include <optional>
 
 #include "circuit/qasm.h"
@@ -168,8 +169,10 @@ compilePayload(const CompileJob &job, const CompileReport &report,
     payload.set("gates_covered", Json(report.gatesCovered));
     if (job.emitPulses) {
         // Per customized gate, in circuit order: a deterministic pulse
-        // document (waveforms when the backend produced them).
+        // document (waveforms when the backend produced them). One
+        // device model per width: building one assembles its row maps.
         Json pulses = Json::array();
+        std::map<int, DeviceModel> devices;
         for (const Gate &g : report.circuit.gates()) {
             const PulseGenResult r =
                 generator.generate(g.unitary(), g.arity());
@@ -180,10 +183,11 @@ compilePayload(const CompileJob &job, const CompileReport &report,
             if (r.degraded)
                 doc.set("degraded", Json(true));
             if (r.schedule.has_value()) {
-                const DeviceModel device(g.arity());
+                const DeviceModel &device =
+                    devices.try_emplace(g.arity(), g.arity())
+                        .first->second;
                 doc.set("schedule",
-                        Json::parse(pulseToJson(*r.schedule, device,
-                                                r.degraded)));
+                        pulseDocument(*r.schedule, device, r.degraded));
             }
             pulses.push(std::move(doc));
         }
@@ -210,9 +214,9 @@ PulseService::PulseService(ServiceOptions options)
         options_.libraryDir + "/grape",
         PulseLibrary::grapeFingerprint(options_.grape), lib_opts);
     // Freeze the serving epoch: whatever the libraries recovered is
-    // what every request of this daemon lifetime starts from.
-    epoch_spectral_ = spectral_lib_->entriesSnapshot();
-    epoch_grape_ = grape_lib_->entriesSnapshot();
+    // what every request of this daemon lifetime reads, in place.
+    epoch_spectral_ = spectral_lib_->epoch();
+    epoch_grape_ = grape_lib_->epoch();
     // Chain the shared-tier write-behind sinks: every fresh local
     // derivation the libraries journal is also published to the tier
     // (tier-fetched entries are filtered by the library).
@@ -240,14 +244,9 @@ PulseService::makeGenerator(const std::string &backend,
     generator->setQuota(&quota);
 
     PulseCache &cache = generator->cache();
-    const std::vector<CachedPulse> &epoch =
-        backend == "grape" ? epoch_grape_ : epoch_spectral_;
-    // Warm first, then attach: epoch entries must not echo back into
-    // the journal.
-    for (const CachedPulse &entry : epoch) {
-        CachedPulse copy = entry;
-        cache.insert(entry.unitary, entry.numQubits, std::move(copy));
-    }
+    // The frozen epoch, not lib->warm(): the library keeps journaling,
+    // and a request must read what the daemon started with.
+    cache.attachEpoch(backend == "grape" ? epoch_grape_ : epoch_spectral_);
     PulseLibrary *lib = backend == "grape" ? grape_lib_.get()
                                            : spectral_lib_.get();
     const ServiceOptions::TierHooks &hooks = backend == "grape"
@@ -405,12 +404,11 @@ PulseService::handleGenerate(const Json &request,
     payload.set("error", Json(result.error));
     if (result.degraded)
         payload.set("degraded", Json(true));
-    if (result.schedule.has_value()) {
-        const DeviceModel device(num_qubits);
+    if (result.schedule.has_value())
         payload.set("schedule",
-                    Json::parse(pulseToJson(*result.schedule, device,
-                                            result.degraded)));
-    }
+                    pulseDocument(*result.schedule,
+                                  DeviceModel(num_qubits),
+                                  result.degraded));
     Json r = Json::object();
     r.set("ok", Json(true));
     r.set("payload", std::move(payload));
@@ -497,8 +495,11 @@ PulseService::statsJson() const
     }
     s.set("checkpoints", std::move(ck));
     Json epoch = Json::object();
-    epoch.set("spectral_pulses", Json(epoch_spectral_.size()));
-    epoch.set("grape_pulses", Json(epoch_grape_.size()));
+    auto epoch_size = [](const std::shared_ptr<const PulseEpoch> &e) {
+        return Json(e != nullptr ? e->size() : std::size_t{0});
+    };
+    epoch.set("spectral_pulses", epoch_size(epoch_spectral_));
+    epoch.set("grape_pulses", epoch_size(epoch_grape_));
     s.set("epoch", std::move(epoch));
     auto lib = [](const PulseLibrary *l) {
         Json j = Json::object();

@@ -126,17 +126,17 @@ Json compilePayload(const CompileJob &job, const CompileReport &report,
  * and the shutdown latch. handle() is thread-safe and is called
  * concurrently by the session scheduler.
  *
- * Serving model: *epoch snapshot isolation*. At construction the
- * library contents are frozen into an epoch; every request runs
- * against its own pulse generator warmed from that frozen epoch (never
- * from another request's derivations). The compiler consults cached
- * latencies when ranking and merging, so any state shared between
- * requests would make a payload depend on which requests happened to
- * run earlier -- with per-request isolation every payload is a pure
- * function of (job, epoch), and N concurrent clients get byte-for-byte
- * the payloads a serial run produces. Pulses derived while serving
- * still journal into the library; they become visible as cache hits in
- * the *next* daemon launch, whose epoch includes them.
+ * Serving model: *epoch snapshot isolation*. At construction each
+ * library's contents are frozen into one immutable epoch; every
+ * request runs its own pulse generator, whose cache reads that epoch
+ * in place as its lower level and whose own table holds only the
+ * request's derivations (never another request's). Compile decisions
+ * read the latency model only, never the cache, and a cached pulse is
+ * the one a derivation would have produced, so every payload is a
+ * pure function of (job, epoch): N concurrent clients get byte for
+ * byte the payloads a serial run produces. Pulses derived while
+ * serving still journal into the library; they become visible as
+ * cache hits in the *next* daemon launch, whose epoch includes them.
  *
  * A request's derivations and duration probes fan out onto the
  * process-wide pool, except when its token can trip on counted work
@@ -218,16 +218,16 @@ class PulseService
 
     /**
      * The request's generator for `backend`, metered by `quota`: its
-     * cache is warmed from the frozen epoch and then attached to the
-     * matching library (and tier) so new derivations are journaled.
+     * cache reads the frozen epoch and is attached to the matching
+     * library (and tier) so new derivations are journaled.
      */
     std::unique_ptr<PulseGenerator>
     makeGenerator(const std::string &backend, QuotaToken &quota) const;
 
     ServiceOptions options_;
-    /** Frozen at construction; per-request caches warm from these. */
-    std::vector<CachedPulse> epoch_spectral_;
-    std::vector<CachedPulse> epoch_grape_;
+    /** Frozen at construction; every request's cache reads these. */
+    std::shared_ptr<const PulseEpoch> epoch_spectral_;
+    std::shared_ptr<const PulseEpoch> epoch_grape_;
     std::unique_ptr<PulseLibrary> spectral_lib_;
     std::unique_ptr<PulseLibrary> grape_lib_;
     /** Crash-safe GRAPE progress (null when checkpointing is off). */

@@ -265,11 +265,16 @@ PulseLibrary::applyRecord(const std::string &payload,
 void
 PulseLibrary::warm(PulseCache &cache) const
 {
+    cache.attachEpoch(epoch());
+}
+
+std::shared_ptr<const PulseEpoch>
+PulseLibrary::epoch() const
+{
     MutexLock lock(mutex_);
-    for (const auto &[key, entry] : entries_) {
-        CachedPulse copy = entry;
-        cache.insert(entry.unitary, entry.numQubits, std::move(copy));
-    }
+    if (epoch_ == nullptr)
+        epoch_ = std::make_shared<const PulseEpoch>(entries_);
+    return epoch_;
 }
 
 std::vector<CachedPulse>
@@ -306,6 +311,7 @@ PulseLibrary::onInsert(const std::string &key, const CachedPulse &entry)
             return;
         }
         entries_[key] = entry;
+        epoch_.reset(); // the next epoch() sees this entry
         fresh = true;
         if (stats_.degraded) {
             // Read-only mode: keep serving the fresh derivation from

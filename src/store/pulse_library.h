@@ -3,7 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -71,14 +71,16 @@ struct PulseLibraryStats
  * backend configuration is never served to another (mismatched files
  * are rotated aside with a warning, not deleted).
  *
- * Usage (order matters -- warm before attach, or warmed entries echo
- * back into the journal):
+ * Usage:
  *
  *   PulseLibrary lib(dir, PulseLibrary::spectralFingerprint());
- *   lib.warm(generator.cache());   // start warm
+ *   lib.warm(generator.cache());   // start warm: attach the epoch
  *   generator.cache().attachStore(&lib); // journal completed flights
  *   ...
  *   lib.compact();                 // snapshot + truncate, fsynced
+ *
+ * Warming inserts nothing, so the stored entries never echo back into
+ * the journal whichever of warm and attachStore comes first.
  *
  * Durability guarantees: every append is a single write() to an
  * append-only fd, so kill -9 at any instant leaves a valid prefix plus
@@ -102,15 +104,28 @@ class PulseLibrary : public PulseStoreSink
                  PulseLibraryOptions options = {});
     ~PulseLibrary() override;
 
-    /** Insert every stored pulse into `cache` (call before attach). */
+    /**
+     * Serve every stored pulse from `cache`: attaches epoch() as the
+     * cache's lower level, copying and inserting nothing (the cache's
+     * generation() stays where it was).
+     */
     void warm(PulseCache &cache) const;
 
     /**
-     * Copy of the live entries, ordered by canonical key. The service
-     * freezes this at startup as its serving epoch (see
-     * PulseService): requests warm per-request caches from the frozen
-     * copy, so concurrent serving stays deterministic while fresh
-     * derivations keep journaling here for the next launch.
+     * The live entries as an immutable epoch, keyed and ordered by
+     * canonical key. Built from the recovered map on first use and
+     * rebuilt only after an insert changed the map, so callers between
+     * inserts share one copy. The service freezes the one it takes at
+     * startup as its serving epoch (see PulseService): every request's
+     * cache reads it in place, so concurrent serving stays
+     * deterministic while fresh derivations keep journaling here for
+     * the next launch.
+     */
+    std::shared_ptr<const PulseEpoch> epoch() const;
+
+    /**
+     * Copy of the live entries, ordered by canonical key (the shared
+     * tier's anti-entropy resync re-publishes these).
      */
     std::vector<CachedPulse> entriesSnapshot() const;
 
@@ -172,7 +187,9 @@ class PulseLibrary : public PulseStoreSink
     std::string fingerprint_;
     PulseLibraryOptions options_;
     /** Ordered by canonical key so snapshots are deterministic. */
-    std::map<std::string, CachedPulse> entries_
+    PulseEpoch entries_ PAQOC_GUARDED_BY(mutex_);
+    /** epoch()'s copy of entries_; null once an insert changed them. */
+    mutable std::shared_ptr<const PulseEpoch> epoch_
         PAQOC_GUARDED_BY(mutex_);
     JournalWriter journal_ PAQOC_GUARDED_BY(mutex_);
     PulseLibraryStats stats_ PAQOC_GUARDED_BY(mutex_);

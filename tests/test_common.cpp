@@ -6,8 +6,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <future>
+#include <iterator>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -347,6 +353,246 @@ TEST(Json, TypeMismatchesAreFatal)
     EXPECT_THROW(doc.at("s").asNumber(), FatalError);
     EXPECT_THROW(doc.at("missing"), FatalError);
     EXPECT_EQ(doc.get("missing", Json(7)).asInt(), 7);
+}
+
+/** The writer's contract, spelled with printf. */
+std::string
+printfNumber(double v)
+{
+    char buf[64];
+    if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15)
+        std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+    else
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+/** The doubles the writer and reader checks run over. */
+std::vector<double>
+numberCorpus()
+{
+    std::vector<double> out;
+    Rng rng(20260922);
+    while (out.size() < 100000) {
+        const std::uint64_t bits = rng.next();
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof v);
+        if (std::isfinite(v))
+            out.push_back(v);
+    }
+    // Integral values on both sides of +-2^53, where the integer and
+    // the %.17g paths meet.
+    const double two53 = 9007199254740992.0;
+    for (int k = -4; k <= 4; ++k) {
+        out.push_back(two53 + 2.0 * k);
+        out.push_back(-(two53 + 2.0 * k));
+        out.push_back(std::ldexp(1.0, 52) + k);
+        out.push_back(-(std::ldexp(1.0, 52) + k));
+    }
+    for (const double v :
+         {0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1e-300, 4.9406564584124654e-324,
+          2.2250738585072014e-308, 1.7976931348623157e308, 123456789.0,
+          -2147483648.0, 1e15, 1e16, 1e17, 1e21, 1e22, 1e23})
+        out.push_back(v);
+    return out;
+}
+
+TEST(Json, DumpMatchesPrintfOnRandomAndBoundaryNumbers)
+{
+    for (const double v : numberCorpus())
+        ASSERT_EQ(Json(v).dump(), printfNumber(v)) << bitsOf(v);
+    // -0.0 takes the integer path and prints as 0.
+    EXPECT_EQ(Json(-0.0).dump(), "0");
+    EXPECT_EQ(Json(9007199254740993.0).dump(), "9007199254740992");
+    EXPECT_EQ(Json(-9007199254740994.0).dump(), "-9007199254740994");
+}
+
+TEST(Json, ParseMatchesStrtodBitForBit)
+{
+    for (const double v : numberCorpus()) {
+        const std::string text = printfNumber(v);
+        const double want = std::strtod(text.c_str(), nullptr);
+        ASSERT_EQ(bitsOf(Json::parse(text).asNumber()), bitsOf(want))
+            << text;
+        // Inside a document, and with the exponent spelled upper-case.
+        std::string upper = text;
+        for (char &c : upper)
+            if (c == 'e')
+                c = 'E';
+        ASSERT_EQ(bitsOf(Json::parse("[" + upper + "]").at(0).asNumber()),
+                  bitsOf(want))
+            << upper;
+    }
+}
+
+TEST(Json, EdgeNumberTokensKeepTheirAnswers)
+{
+    // Accepted or rejected, and read, exactly as the strtod reader did.
+    struct Case
+    {
+        const char *token;
+        std::optional<std::uint64_t> bits; // nullopt: rejected
+    };
+    const Case cases[] = {
+        {"-0", 0x8000000000000000ULL},
+        {".5", 0x3fe0000000000000ULL},
+        {"5.", 0x4014000000000000ULL},
+        {"1e", std::nullopt},
+        {"+5", 0x4014000000000000ULL},
+        {"+-5", std::nullopt},
+        {"1e-400", 0x0000000000000000ULL},
+        {"-1e-400", 0x8000000000000000ULL},
+        {"2e-320", 0x0000000000000fd0ULL},
+        {"2.4703282292062327e-324", 0x0000000000000000ULL},
+        {"-2.4703282292062327e-324", 0x8000000000000000ULL},
+        {"4.9406564584124654e-324", 0x0000000000000001ULL},
+        {"1e400", std::nullopt},
+        {"1.7976931348623159e308", std::nullopt},
+        {"--1", std::nullopt},
+        {"0x10", std::nullopt},
+        {"-.5", 0xbfe0000000000000ULL},
+        {"1.e5", 0x40f86a0000000000ULL},
+        {".", std::nullopt},
+    };
+    for (const Case &c : cases) {
+        for (const std::string &doc :
+             {std::string(c.token), "[" + std::string(c.token) + "]"}) {
+            if (!c.bits.has_value()) {
+                EXPECT_THROW(Json::parse(doc), FatalError) << doc;
+                continue;
+            }
+            const Json j = Json::parse(doc);
+            const double v = j.isArray() ? j.at(0).asNumber() : j.asNumber();
+            EXPECT_EQ(bitsOf(v), *c.bits) << doc;
+        }
+    }
+}
+
+TEST(Json, EscapesControlCharactersAsPrintfDid)
+{
+    std::string all;
+    for (int c = 1; c < 0x80; ++c)
+        all += static_cast<char>(c);
+    std::string want = "\"";
+    for (const unsigned char c : all) {
+        switch (c) {
+        case '"': want += "\\\""; break;
+        case '\\': want += "\\\\"; break;
+        case '\b': want += "\\b"; break;
+        case '\f': want += "\\f"; break;
+        case '\n': want += "\\n"; break;
+        case '\r': want += "\\r"; break;
+        case '\t': want += "\\t"; break;
+        default:
+            if (c < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                want += buf;
+            } else {
+                want += static_cast<char>(c);
+            }
+        }
+    }
+    want += '"';
+    EXPECT_EQ(Json(all).dump(), want);
+    EXPECT_EQ(Json::parse(want).asString(), all);
+}
+
+/**
+ * Seed documents of the mutation fuzz: a compile response carrying a
+ * GRAPE pulse document (the shape a warm library serves), a compile
+ * request, and a stats frame.
+ */
+const char *const kFuzzSeeds[] = {
+    R"({"ok":true,"payload":{"latency_dt":61,"esp":0.99772403518236311,)"
+    R"("final_gates":3,"merges":2,"apa_kinds":0,"apa_uses":0,)"
+    R"("gates_covered":0,"pulses":[{"qubits":2,"latency_dt":31,)"
+    R"("error":0.00049726403271233954,"schedule":{"format":)"
+    R"("paqoc-pulse-v1","num_qubits":2,"dt_slices":3,"latency_dt":3,)"
+    R"("fidelity":0.99950273596728766,"channels":["x0","y0","x1","y1",)"
+    R"("xy01"],"amplitudes":[[0.099999999999999992,-0.0318727193,)"
+    R"(6.2831853071795862e-05,-0.1,0.019999999999999997],[0,-0,)"
+    R"(1.2e-17,-3.4999999999999998e-3,0.02],[-0.099999999999999992,)"
+    R"(0.05,0.0001,-2.5e-310,-0.019999999999999997]]}},{"qubits":1,)"
+    R"("latency_dt":12,"error":0.0001,"degraded":true}]},"stats":)"
+    R"({"pulse_calls":2,"cache_hits":2,"cost_units":0,)"
+    R"("wall_seconds":0.00041327800000000002,"iters_charged":0}})",
+    R"({"op":"compile","qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\n)"
+    R"(qreg q[2];\nh q[0];\ncx q[0],q[1];\n","method":"paqoc","m":"0",)"
+    R"("depth":3,"maxn":2,"topology":"line:2","commute":false,)"
+    R"("emit_pulses":true,"backend":"grape","max_iters":5000,)"
+    R"("tenant":"prodé\t"})",
+    R"({"ok":true,"payload":{"serving":{"compiles":24,"generates":0,)"
+    R"("errors":0,"pulse_calls":48,"cache_hits":48,"degraded_pulses":0},)"
+    R"("daemon":{"uptime_seconds":12.503716219,"supervised":false,)"
+    R"("worker_restarts":0,"journal_records_recovered":43},)"
+    R"("checkpoints":{"enabled":false},"epoch":{"spectral_pulses":0,)"
+    R"("grape_pulses":43},"libraries":{"spectral":{"attached":true,)"
+    R"("warnings":[]},"grape":{"attached":true,"records":43,)"
+    R"("dropped_tail_bytes":0,"degraded":false,"warnings":)"
+    R"(["rotated \"a\" to \"b\""]}},"tier":null}})",
+};
+
+/** Parse one mutant: a value that re-dumps stably, or a FatalError. */
+void
+checkMutant(const std::string &text)
+{
+    std::optional<Json> value;
+    try {
+        value = Json::parse(text);
+    } catch (const FatalError &) {
+        return;
+    }
+    const std::string once = value->dump();
+    ASSERT_EQ(Json::parse(once).dump(), once) << text;
+}
+
+TEST(Json, MutationFuzzYieldsAValueOrAFatalError)
+{
+    const char replacements[] = {'"', '\\', '{', '}', '[',  ']', ',',
+                                 ':', '0',  '9', '-', '+',  '.', 'e',
+                                 'E', ' ',  'n', 't', '\0', '\x1f',
+                                 'u', '\x7f', static_cast<char>(0xff)};
+    const char *const inserts[] = {"\"", "[", "{", "}", "1e999", "-", ".",
+                                   ",", ":", "\\u", "\\ud800", "null", "+",
+                                   "0x1", "1e-999"};
+    Rng rng(0x5eedf00dULL);
+    for (const char *seed_text : kFuzzSeeds) {
+        // Mutate the writer's own spelling of the seed.
+        const std::string seed = Json::parse(seed_text).dump();
+        ASSERT_EQ(Json::parse(seed).dump(), seed);
+        for (std::size_t cut = 0; cut < seed.size(); ++cut)
+            checkMutant(seed.substr(0, cut));
+        for (std::size_t at = 0; at < seed.size(); ++at) {
+            for (const char c : replacements) {
+                if (seed[at] == c)
+                    continue;
+                std::string m = seed;
+                m[at] = c;
+                checkMutant(m);
+            }
+        }
+        for (int k = 0; k < 2000; ++k) {
+            std::string m = seed;
+            const int edits = rng.range(1, 3);
+            for (int e = 0; e < edits && !m.empty(); ++e) {
+                const std::size_t at = rng.below(m.size());
+                if (rng.chance(0.5))
+                    m.erase(at, 1 + rng.below(8));
+                else
+                    m.insert(at, inserts[rng.below(std::size(inserts))]);
+            }
+            checkMutant(m);
+        }
+    }
 }
 
 TEST(Quota, ResolveTightensButNeverWidens)

@@ -5,10 +5,18 @@
  * latency model's paper-observation properties, and the pulse cache.
  */
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +26,7 @@
 #include "circuit/circuit.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "linalg/expm.h"
 #include "linalg/kernels.h"
@@ -674,6 +683,341 @@ TEST(PulseGenerator, BatchMatchesSerialReplayBitExactly)
     EXPECT_EQ(batched.generateCalls(), serial.generateCalls());
     EXPECT_EQ(batched.cacheHits(), serial.cacheHits());
     EXPECT_DOUBLE_EQ(batched.totalCostUnits(), serial.totalCostUnits());
+}
+
+/** A random unitary exp(-iH) of the given width. */
+Matrix
+randomUnitaryOf(int num_qubits, Rng &rng)
+{
+    const std::size_t dim = std::size_t{1} << num_qubits;
+    Matrix m(dim, dim);
+    for (std::size_t r = 0; r < dim; ++r)
+        for (std::size_t c = 0; c < dim; ++c)
+            m(r, c) = Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    Matrix h = m + m.adjoint();
+    h *= Complex(0.5, 0.0);
+    return expm(h * Complex(0.0, -1.0));
+}
+
+/** canonicalKey as it was spelled with snprintf("%.4f,%.4f;"). */
+std::string
+printfCanonicalKey(const Matrix &u, int num_qubits)
+{
+    std::size_t best_r = 0, best_c = 0;
+    double best = -1.0;
+    for (std::size_t r = 0; r < u.rows(); ++r)
+        for (std::size_t c = 0; c < u.cols(); ++c)
+            if (std::abs(u(r, c)) > best + 1e-12) {
+                best = std::abs(u(r, c));
+                best_r = r;
+                best_c = c;
+            }
+    const Complex pivot = u(best_r, best_c);
+    Matrix v = u;
+    if (std::abs(pivot) > 1e-12)
+        v *= std::conj(pivot) / std::abs(pivot);
+    std::string key = std::to_string(num_qubits) + ":";
+    char buf[48];
+    for (std::size_t r = 0; r < v.rows(); ++r)
+        for (std::size_t c = 0; c < v.cols(); ++c) {
+            const double re = std::round(v(r, c).real() * 1e4) / 1e4 + 0.0;
+            const double im = std::round(v(r, c).imag() * 1e4) / 1e4 + 0.0;
+            std::snprintf(buf, sizeof buf, "%.4f,%.4f;", re, im);
+            key += buf;
+        }
+    return key;
+}
+
+TEST(PulseCache, CanonicalKeyMatchesThePrintfSpelling)
+{
+    Rng rng(0xca11ab1e);
+    for (int i = 0; i < 10000; ++i) {
+        const int n = 1 + i % 3;
+        const Matrix u = randomUnitaryOf(n, rng);
+        ASSERT_EQ(PulseCache::canonicalKey(u, n), printfCanonicalKey(u, n))
+            << i;
+    }
+    // Entries that round to +-0 and +-1, and entries on the 5th-decimal
+    // rounding boundary. The pivot 1 leaves every other entry as is.
+    const double edges[] = {-0.00004, 0.00004,  -0.0,     0.0,
+                            0.99996,  -0.99996, 0.99995,  -0.99995,
+                            0.00005,  -0.00005, 0.00015,  -0.00015,
+                            0.12345,  -0.12345, 0.123449, 0.5,
+                            -0.5,     0.49995,  1e-300,   -1e-300};
+    for (const double a : edges)
+        for (const double b : edges) {
+            Matrix m(2, 2);
+            m(0, 0) = Complex(1.0, 0.0);
+            m(0, 1) = Complex(a, b);
+            m(1, 0) = Complex(b, a);
+            m(1, 1) = Complex(a, -b);
+            ASSERT_EQ(PulseCache::canonicalKey(m, 1), printfCanonicalKey(m, 1))
+                << a << ' ' << b;
+        }
+    for (int i = 0; i < 2000; ++i) {
+        Matrix m(4, 4);
+        m(0, 0) = Complex(1.0, 0.0);
+        for (std::size_t k = 1; k < 16; ++k) {
+            const double step = static_cast<double>(rng.range(-9999, 9999));
+            m(k / 4, k % 4) = Complex((step + 0.5) / 1e4, (step - 0.5) / 1e4);
+        }
+        ASSERT_EQ(PulseCache::canonicalKey(m, 2), printfCanonicalKey(m, 2))
+            << i;
+    }
+}
+
+/** A cache entry with content drawn from `rng`. */
+CachedPulse
+randomEntry(const Matrix &unitary, int num_qubits, Rng &rng)
+{
+    CachedPulse e;
+    e.unitary = unitary;
+    e.numQubits = num_qubits;
+    e.latency = static_cast<double>(rng.range(1, 400));
+    e.error = rng.uniform(0.0, 1e-3);
+    e.schedule.fidelity = 1.0 - e.error;
+    e.schedule.amplitudes.assign(static_cast<std::size_t>(rng.range(0, 3)),
+                                 std::vector<double>(2));
+    for (auto &slice : e.schedule.amplitudes)
+        for (double &a : slice)
+            a = rng.uniform(-0.1, 0.1);
+    e.degraded = rng.chance(0.1);
+    return e;
+}
+
+bool
+sameMatrix(const Matrix &a, const Matrix &b)
+{
+    if (a.rows() != b.rows() || a.cols() != b.cols())
+        return false;
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        for (std::size_t c = 0; c < a.cols(); ++c)
+            if (a(r, c) != b(r, c))
+                return false;
+    return true;
+}
+
+bool
+sameEntry(const CachedPulse *a, const CachedPulse *b)
+{
+    if (a == nullptr || b == nullptr)
+        return a == b;
+    return a->latency == b->latency && a->error == b->error
+        && a->numQubits == b->numQubits && a->degraded == b->degraded
+        && a->fromTier == b->fromTier
+        && a->schedule.fidelity == b->schedule.fidelity
+        && a->schedule.amplitudes == b->schedule.amplitudes
+        && sameMatrix(a->unitary, b->unitary);
+}
+
+std::string
+savedBytes(const PulseCache &cache, const std::string &path)
+{
+    cache.save(path);
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+TEST(PulseCache, EpochAnswersAsInsertingItsEntriesDoes)
+{
+    // Cache A inserts a library's entries, then a request's own
+    // inserts; cache B attaches the same entries as an epoch and then
+    // takes the same inserts. Every read must agree.
+    const Matrix pauli[] = {
+        Gate(Op::X, {0}).unitary(), Gate(Op::Y, {0}).unitary(),
+        Gate(Op::Z, {0}).unitary(), Gate(Op::CX, {0, 1}).unitary(),
+        Gate(Op::SWAP, {0, 1}).unitary()};
+    const int pauli_n[] = {1, 1, 1, 2, 2};
+    const Matrix id1 = Matrix::identity(2);
+    const Matrix id2 = Matrix::identity(4);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed * 7919);
+        std::vector<std::pair<Matrix, int>> pool;
+        PulseEpoch epoch;
+        // Two of the 1-qubit Paulis sit in the epoch, the third comes
+        // as an own insert: the identity is equidistant from all three.
+        for (int k = 0; k < 5; ++k) {
+            pool.emplace_back(pauli[k], pauli_n[k]);
+            if (k == 2 || k == 4)
+                continue;
+            epoch[PulseCache::canonicalKey(pauli[k], pauli_n[k])] =
+                randomEntry(pauli[k], pauli_n[k], rng);
+        }
+        for (int k = 0; k < 40; ++k) {
+            const int n = 1 + rng.range(0, 1);
+            const Matrix u = randomUnitaryOf(n, rng);
+            pool.emplace_back(u, n);
+            if (k < 30)
+                epoch[PulseCache::canonicalKey(u, n)] =
+                    randomEntry(u, n, rng);
+        }
+        pool.emplace_back(id1, 1);
+        pool.emplace_back(id2, 2);
+
+        PulseCache a;
+        for (const auto &[key, e] : epoch)
+            a.insert(e.unitary, e.numQubits, e);
+        PulseCache b;
+        b.attachEpoch(std::make_shared<const PulseEpoch>(epoch));
+        EXPECT_EQ(b.generation(), 0u);
+
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> horizons = {
+            {a.generation(), b.generation()}};
+        const double radii[] = {0.0, 0.5, 1.5, 2.0, 2.5, 10.0};
+        for (int step = 0; step < 600; ++step) {
+            const auto &[u, n] = pool[rng.below(pool.size())];
+            switch (rng.below(7)) {
+            case 0: {
+                const CachedPulse e = randomEntry(u, n, rng);
+                a.insert(u, n, e);
+                b.insert(u, n, e);
+                break;
+            }
+            case 1: {
+                const PulseCache::Acquired x = a.acquire(u, n);
+                const PulseCache::Acquired y = b.acquire(u, n);
+                ASSERT_EQ(x.role, y.role) << seed << ':' << step;
+                if (x.role == PulseCache::FlightRole::Leader) {
+                    const CachedPulse e = randomEntry(u, n, rng);
+                    a.completeFlight(u, n, e);
+                    b.completeFlight(u, n, e);
+                } else {
+                    ASSERT_TRUE(sameEntry(&*x.entry, &*y.entry))
+                        << seed << ':' << step;
+                }
+                break;
+            }
+            case 2:
+                ASSERT_TRUE(sameEntry(a.lookup(u, n), b.lookup(u, n)))
+                    << seed << ':' << step;
+                break;
+            case 3: {
+                const double r = radii[rng.below(std::size(radii))];
+                ASSERT_TRUE(sameEntry(a.nearest(u, n, r), b.nearest(u, n, r)))
+                    << seed << ':' << step;
+                break;
+            }
+            case 4:
+                horizons.emplace_back(a.generation(), b.generation());
+                break;
+            case 5: {
+                const auto &[ha, hb] = horizons[rng.below(horizons.size())];
+                const double r = radii[rng.below(std::size(radii))];
+                const std::optional<CachedPulse> x =
+                    a.nearestBefore(u, n, r, ha);
+                const std::optional<CachedPulse> y =
+                    b.nearestBefore(u, n, r, hb);
+                ASSERT_EQ(x.has_value(), y.has_value())
+                    << seed << ':' << step;
+                if (x.has_value()) {
+                    ASSERT_TRUE(sameEntry(&*x, &*y)) << seed << ':' << step;
+                }
+                break;
+            }
+            default:
+                ASSERT_EQ(a.size(), b.size()) << seed << ':' << step;
+            }
+        }
+        // The equal-distance case, at and around the tie's distance.
+        for (const double r : {2.0, 2.5}) {
+            ASSERT_TRUE(sameEntry(a.nearest(id1, 1, r), b.nearest(id1, 1, r)));
+            for (const auto &[ha, hb] : horizons) {
+                const std::optional<CachedPulse> x =
+                    a.nearestBefore(id1, 1, r, ha);
+                const std::optional<CachedPulse> y =
+                    b.nearestBefore(id1, 1, r, hb);
+                ASSERT_EQ(x.has_value(), y.has_value());
+                if (x.has_value()) {
+                    ASSERT_TRUE(sameEntry(&*x, &*y));
+                }
+            }
+        }
+        EXPECT_EQ(a.size(), b.size());
+        const std::string dir = ::testing::TempDir();
+        EXPECT_EQ(savedBytes(a, dir + "/paqoc_epoch_a.db"),
+                  savedBytes(b, dir + "/paqoc_epoch_b.db"));
+    }
+}
+
+/**
+ * Spectral backend that takes 20 ms per pulse call and records the
+ * thread each call ran on.
+ */
+class SleepyGenerator : public SpectralPulseGenerator
+{
+  public:
+    std::set<std::thread::id>
+    threads()
+    {
+        MutexLock lock(mutex_);
+        return threads_;
+    }
+
+  protected:
+    PulseGenResult
+    generateOne(const Matrix &unitary, int num_qubits, ThreadPool *pool,
+                std::uint64_t nearest_horizon) override
+    {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        {
+            MutexLock lock(mutex_);
+            threads_.insert(std::this_thread::get_id());
+        }
+        return SpectralPulseGenerator::generateOne(unitary, num_qubits, pool,
+                                                   nearest_horizon);
+    }
+
+  private:
+    Mutex mutex_;
+    std::set<std::thread::id> threads_ PAQOC_GUARDED_BY(mutex_);
+};
+
+TEST(PulseGenerator, AllHitBatchRunsOnTheCaller)
+{
+    const Matrix h = Gate(Op::H, {0}).unitary();
+    const Matrix x = Gate(Op::X, {0}).unitary();
+    const Matrix cx = Gate(Op::CX, {0, 1}).unitary();
+    ThreadPool pool(4);
+    SleepyGenerator gen;
+    // One hit from the own table, two from an attached epoch.
+    gen.cache().insert(h, 1, CachedPulse{});
+    PulseEpoch epoch;
+    for (const auto &[u, n] : {std::pair{x, 1}, std::pair{cx, 2}}) {
+        CachedPulse e;
+        e.unitary = u;
+        e.numQubits = n;
+        e.latency = 7.0;
+        epoch[PulseCache::canonicalKey(u, n)] = e;
+    }
+    gen.cache().attachEpoch(std::make_shared<const PulseEpoch>(epoch));
+    const std::vector<PulseGenResult> got =
+        gen.generateBatch({{h, 1}, {x, 1}, {cx, 2}, {h, 1}}, &pool);
+    for (const PulseGenResult &r : got)
+        EXPECT_TRUE(r.cacheHit);
+    EXPECT_EQ(got[2].latency, 7.0);
+    EXPECT_EQ(gen.threads(),
+              std::set<std::thread::id>{std::this_thread::get_id()});
+    EXPECT_EQ(gen.cacheHits(), 4u);
+}
+
+TEST(PulseGenerator, MissingBatchStillFansOut)
+{
+    const Matrix h = Gate(Op::H, {0}).unitary();
+    ThreadPool pool(4);
+    SleepyGenerator gen;
+    gen.cache().insert(h, 1, CachedPulse{});
+    const std::vector<PulseGenResult> got = gen.generateBatch(
+        {{h, 1},
+         {Gate(Op::X, {0}).unitary(), 1},
+         {Gate(Op::CX, {0, 1}).unitary(), 2},
+         {Gate(Op::SWAP, {0, 1}).unitary(), 2}},
+        &pool);
+    EXPECT_TRUE(got[0].cacheHit);
+    for (std::size_t i = 1; i < got.size(); ++i)
+        EXPECT_FALSE(got[i].cacheHit) << i;
+    EXPECT_GE(gen.threads().size(), 2u);
 }
 
 TEST(Grape, SeedIsAFunctionOfTargetNotCallOrder)

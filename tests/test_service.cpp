@@ -21,8 +21,11 @@
 #include "circuit/gate.h"
 #include "common/error.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/thread_annotations.h"
+#include "linalg/expm.h"
+#include "qoc/device.h"
 #include "qoc/pulse_cache.h"
 #include "qoc/pulse_generator.h"
 #include "service/client.h"
@@ -490,6 +493,106 @@ TEST_P(DaemonPoolSize, GrapePayloadMatchesPoolLessCompile)
 }
 
 INSTANTIATE_TEST_SUITE_P(Maxn, DaemonPoolSize, ::testing::Values(2, 3));
+
+/** A pulse with content drawn from `rng`, shaped for `num_qubits`. */
+CachedPulse
+syntheticPulse(const Matrix &unitary, int num_qubits, Rng &rng)
+{
+    const DeviceModel device(num_qubits);
+    CachedPulse e;
+    e.unitary = unitary;
+    e.numQubits = num_qubits;
+    e.schedule.amplitudes.assign(
+        static_cast<std::size_t>(rng.range(3, 9)),
+        std::vector<double>(device.numControls()));
+    for (auto &slice : e.schedule.amplitudes)
+        for (double &a : slice)
+            a = rng.uniform(-0.02, 0.02);
+    e.schedule.fidelity = rng.uniform(0.9991, 0.99999);
+    e.latency = e.schedule.latency();
+    e.error = 1.0 - e.schedule.fidelity;
+    return e;
+}
+
+/**
+ * A GRAPE backend that runs no GRAPE: a missing pulse is published as
+ * a synthetic one, so a compile's pulses can be collected cheaply.
+ */
+class SyntheticGrape : public GrapePulseGenerator
+{
+  protected:
+    PulseGenResult
+    generateOne(const Matrix &unitary, int num_qubits, ThreadPool *pool,
+                std::uint64_t nearest_horizon) override
+    {
+        if (cache().lookup(unitary, num_qubits) == nullptr)
+            cache().insert(unitary, num_qubits,
+                           syntheticPulse(unitary, num_qubits, rng_));
+        return GrapePulseGenerator::generateOne(unitary, num_qubits, pool,
+                                                nearest_horizon);
+    }
+
+  private:
+    Rng rng_{2026};
+};
+
+TEST(PulseService, AllHitCompileIsIndependentOfLibrarySize)
+{
+    // The same all-hit compile, served from a library holding only its
+    // own pulses and from one holding 2,000 more: the payloads agree
+    // byte for byte (the epoch is read in place, never re-keyed).
+    const ServiceOptions defaults;
+    const std::string fp = PulseLibrary::grapeFingerprint(defaults.grape);
+    const Json request = grapeCompileRequest(kThreeQubitQasm, "line:3", 2);
+    const std::string small = scratchDir("epoch_small");
+    const std::string large = scratchDir("epoch_large");
+    std::size_t own = 0;
+    {
+        PulseLibrary small_lib(small + "/grape", fp);
+        PulseLibrary large_lib(large + "/grape", fp);
+        SyntheticGrape recorder;
+        recorder.cache().attachStore(&small_lib);
+        runCompileJob(compileJobFromJson(request), recorder, 1);
+        recorder.cache().attachStore(nullptr);
+        own = small_lib.size();
+        ASSERT_GT(own, 0u);
+        for (const auto &[key, entry] : *small_lib.epoch())
+            large_lib.onInsert(key, entry);
+        Rng rng(88);
+        for (int i = 0; i < 2000; ++i) {
+            const int n = 1 + i % 2;
+            const std::size_t dim = std::size_t{1} << n;
+            Matrix m(dim, dim);
+            for (std::size_t r = 0; r < dim; ++r)
+                for (std::size_t c = 0; c < dim; ++c)
+                    m(r, c) = Complex(rng.uniform(-1.0, 1.0),
+                                      rng.uniform(-1.0, 1.0));
+            const Matrix u = expm((m + m.adjoint()) * Complex(0.0, -0.5));
+            large_lib.onInsert(PulseCache::canonicalKey(u, n),
+                               syntheticPulse(u, n, rng));
+        }
+        ASSERT_EQ(large_lib.size(), own + 2000);
+    }
+
+    auto serve = [&](const std::string &dir, std::size_t epoch_size) {
+        ServiceOptions opts;
+        opts.libraryDir = dir;
+        PulseService service(opts);
+        EXPECT_EQ(service.statsJson().at("epoch").at("grape_pulses").asInt(),
+                  static_cast<int>(epoch_size));
+        const Json r = service.handle(request);
+        EXPECT_TRUE(r.get("ok", Json(false)).asBool()) << r.dump();
+        const Json &stats = r.at("stats");
+        EXPECT_GT(stats.at("pulse_calls").asInt(), 0);
+        EXPECT_EQ(stats.at("cache_hits").asInt(),
+                  stats.at("pulse_calls").asInt());
+        EXPECT_EQ(stats.at("iters_charged").asNumber(), 0.0);
+        return r.at("payload").dump();
+    };
+    const std::string from_small = serve(small, own);
+    EXPECT_NE(from_small.find("paqoc-pulse-v1"), std::string::npos);
+    EXPECT_EQ(serve(large, own + 2000), from_small);
+}
 
 TEST(PulseService, GeneratePayloadIndependentOfDaemonPoolSize)
 {

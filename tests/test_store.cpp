@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -406,6 +407,37 @@ TEST(PulseLibrary, EntriesSnapshotIsSortedByKey)
                                        snap[0].numQubits),
               PulseCache::canonicalKey(snap[1].unitary,
                                        snap[1].numQubits));
+}
+
+TEST(PulseLibrary, WarmAttachesTheEpochWithoutInserting)
+{
+    const std::string dir = scratchDir("epoch");
+    const Matrix cx = Gate(Op::CX, {0, 1}).unitary();
+    const Matrix h = Gate(Op::H, {0}).unitary();
+    const Matrix swap = Gate(Op::SWAP, {0, 1}).unitary();
+    PulseLibrary lib(dir, "fp");
+    lib.onInsert(PulseCache::canonicalKey(cx, 2), makeEntry(cx, 2, 100.0));
+    lib.onInsert(PulseCache::canonicalKey(h, 1), makeEntry(h, 1, 20.0));
+
+    PulseCache cache;
+    lib.warm(cache);
+    // Served, not copied: no insert happened.
+    EXPECT_EQ(cache.generation(), 0u);
+    EXPECT_EQ(cache.size(), lib.size());
+    ASSERT_NE(cache.lookup(cx, 2), nullptr);
+    EXPECT_DOUBLE_EQ(cache.lookup(cx, 2)->latency, 100.0);
+
+    // Callers between inserts share one epoch; an insert rebuilds it,
+    // and a cache warmed earlier keeps reading the one it was given.
+    const std::shared_ptr<const PulseEpoch> before = lib.epoch();
+    EXPECT_EQ(lib.epoch(), before);
+    lib.onInsert(PulseCache::canonicalKey(swap, 2),
+                 makeEntry(swap, 2, 300.0));
+    EXPECT_NE(lib.epoch(), before);
+    EXPECT_EQ(before->size(), 2u);
+    EXPECT_EQ(lib.epoch()->size(), 3u);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.lookup(swap, 2), nullptr);
 }
 
 TEST(PulseLibrary, FingerprintsSeparateBackendConfigs)
