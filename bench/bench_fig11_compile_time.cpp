@@ -11,21 +11,16 @@
  * pass), emitting one JSON line per compile with library hit/miss
  * counts so the warm-start speedup is measured, not asserted.
  *
- * With --snapshot/--compare (bench/harness.h) the binary instead runs
- * a small fixed subset of the sweep and emits BENCH_compile.json:
- * deterministic modeled cost-unit metrics per benchmark plus the
- * total wall-clock, so CI catches both algorithmic and raw-speed
- * compile-time regressions against the committed snapshot.
+ * The compile outputs themselves (payload bytes, cost units, pulse
+ * calls) are pinned by tests/test_compile_pins.cpp; compile latency is
+ * measured end to end by perfbench's table1_spectral workload.
  */
 
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/stopwatch.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "harness.h"
-#include "linalg/kernels.h"
 #include "store/pulse_library.h"
 
 namespace paqoc {
@@ -155,56 +150,11 @@ run()
     return 0;
 }
 
-/**
- * Snapshot mode (DESIGN.md §11): compile a fixed subset under the
- * accqoc_n3d3 baseline and paqoc(M=tuned), record the tuned modeled
- * cost per benchmark (deterministic, so any drift is an algorithmic
- * regression) plus the normalized-cost geomean and the total
- * wall-clock of the snapshot run.
- */
-int
-runSnapshot(const bench::SnapshotCli &cli)
-{
-    BenchSnapshot snap;
-    snap.name = "compile";
-    snap.setContext(
-        "backend",
-        kernels::backendName(kernels::activeBackend()));
-    snap.setContext("threads",
-                    std::to_string(ThreadPool::global().size()));
-
-    const Topology grid = Topology::grid(5, 5);
-    std::vector<std::string> subset = {"mod5d2", "rd32"};
-    if (!cli.quick)
-        subset.push_back("decod24");
-    const Stopwatch watch;
-    std::vector<double> normalized;
-    for (const std::string &name : subset) {
-        const Circuit physical = workloads::makePhysical(name, grid);
-        const CompileReport base =
-            bench::compileWith("accqoc_n3d3", physical);
-        const CompileReport tuned =
-            bench::compileWith("paqoc(M=tuned)", physical);
-        snap.setMetric(name + "_tuned_cost_units", tuned.costUnits,
-                       false);
-        normalized.push_back(std::max(tuned.costUnits, 1.0)
-                             / std::max(base.costUnits, 1.0));
-    }
-    snap.setMetric("geomean_normalized_cost",
-                   bench::geomean(normalized), false);
-    snap.setMetric("wall_seconds_total", watch.seconds(), false);
-    return bench::finishSnapshot(snap, cli);
-}
-
 } // namespace
 } // namespace paqoc
 
 int
-main(int argc, char **argv)
+main()
 {
-    const paqoc::bench::SnapshotCli snapshot_cli =
-        paqoc::bench::parseSnapshotCli(argc, argv);
-    if (snapshot_cli.active())
-        return paqoc::runSnapshot(snapshot_cli);
     return paqoc::run();
 }

@@ -1,7 +1,7 @@
 #include "circuit/contract.h"
 
 #include <algorithm>
-#include <set>
+#include <functional>
 
 #include "common/error.h"
 
@@ -16,50 +16,143 @@ GroupContraction::GroupContraction(const Circuit &circuit, const Dag &dag)
     n_groups_ = static_cast<int>(circuit.size());
 }
 
+std::span<const int>
+GroupContraction::members(int gid) const
+{
+    const int n = static_cast<int>(circuit_.size());
+    if (gid < n) {
+        // A live single-gate group holds its own id as its one gate,
+        // and group_of_[gid] stores exactly that value.
+        return {&group_of_[static_cast<std::size_t>(gid)], 1};
+    }
+    return fused_[static_cast<std::size_t>(gid - n)];
+}
+
+int
+GroupContraction::firstMember(int gid) const
+{
+    return members(gid).front();
+}
+
 bool
 GroupContraction::tryMerge(const std::vector<int> &gates)
 {
     PAQOC_ASSERT(!gates.empty(), "empty merge set");
-    const std::vector<int> snapshot = group_of_;
-    std::set<int> fused;
-    for (int g : gates)
-        fused.insert(group_of_[static_cast<std::size_t>(g)]);
-    const int gid = n_groups_++;
-    for (std::size_t i = 0; i < group_of_.size(); ++i) {
-        if (fused.count(group_of_[i]))
-            group_of_[i] = gid;
+    const int n = static_cast<int>(circuit_.size());
+    fusing_.clear();
+    for (int g : gates) {
+        const int gid = group_of_[static_cast<std::size_t>(g)];
+        if (std::find(fusing_.begin(), fusing_.end(), gid)
+            == fusing_.end())
+            fusing_.push_back(gid);
     }
-    if (acyclic())
+    std::vector<int> merged;
+    for (int gid : fusing_) {
+        const std::span<const int> m = members(gid);
+        merged.insert(merged.end(), m.begin(), m.end());
+    }
+    std::sort(merged.begin(), merged.end());
+
+    const int gid = n_groups_++;
+    for (int m : merged)
+        group_of_[static_cast<std::size_t>(m)] = gid;
+    fused_.push_back(std::move(merged));
+    if (!closesCycle(gid)) {
+        for (int old : fusing_)
+            if (old >= n)
+                fused_[static_cast<std::size_t>(old - n)].clear();
         return true;
-    group_of_ = snapshot;
+    }
+    // Undo: only the fused members moved.
+    for (int old : fusing_) {
+        if (old < n) {
+            group_of_[static_cast<std::size_t>(old)] = old;
+            continue;
+        }
+        for (int m : fused_[static_cast<std::size_t>(old - n)])
+            group_of_[static_cast<std::size_t>(m)] = old;
+    }
+    fused_.pop_back();
     --n_groups_;
     return false;
+}
+
+bool
+GroupContraction::closesCycle(int gid)
+{
+    // The state before the merge was acyclic, so any cycle now runs
+    // through the fused group: search the quotient graph from its
+    // out-edges and report whether the search comes back to it. A
+    // group is expanded once, when the search first enters it; its
+    // members are marked together.
+    seen_.reset(circuit_.size());
+    stack_.clear();
+    const auto enter = [&](int group) {
+        for (int m : members(group)) {
+            seen_.insert(m);
+            stack_.push_back(m);
+        }
+    };
+    for (int m : members(gid)) {
+        for (int s : dag_.succs[static_cast<std::size_t>(m)]) {
+            const int gs = group_of_[static_cast<std::size_t>(s)];
+            if (gs != gid && !seen_.contains(s))
+                enter(gs);
+        }
+    }
+    while (!stack_.empty()) {
+        const int u = stack_.back();
+        stack_.pop_back();
+        for (int s : dag_.succs[static_cast<std::size_t>(u)]) {
+            if (seen_.contains(s))
+                continue;
+            const int gs = group_of_[static_cast<std::size_t>(s)];
+            if (gs == gid)
+                return true;
+            enter(gs);
+        }
+    }
+    return false;
+}
+
+void
+GroupContraction::restore(const State &state)
+{
+    const auto n = circuit_.size();
+    group_of_ = state.groupOf;
+    n_groups_ = state.numGroups;
+    fused_.resize(static_cast<std::size_t>(n_groups_) - n);
+    for (auto &m : fused_)
+        m.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto gid = static_cast<std::size_t>(group_of_[i]);
+        if (gid >= n)
+            fused_[gid - n].push_back(static_cast<int>(i));
+    }
 }
 
 std::vector<std::vector<int>>
 GroupContraction::groups() const
 {
-    std::vector<std::vector<int>> members(
-        static_cast<std::size_t>(n_groups_));
+    std::vector<std::vector<int>> out;
     for (std::size_t i = 0; i < circuit_.size(); ++i)
-        members[static_cast<std::size_t>(group_of_[i])].push_back(
-            static_cast<int>(i));
-    members.erase(std::remove_if(members.begin(), members.end(),
-                                 [](const std::vector<int> &m)
-                                 { return m.empty(); }),
-                  members.end());
-    return members;
+        if (group_of_[i] == static_cast<int>(i))
+            out.push_back({static_cast<int>(i)});
+    for (const auto &m : fused_)
+        if (!m.empty())
+            out.push_back(m);
+    return out;
 }
 
 std::vector<std::vector<int>>
 GroupContraction::membersById() const
 {
-    std::vector<std::vector<int>> members(
-        static_cast<std::size_t>(n_groups_));
+    std::vector<std::vector<int>> out(circuit_.size());
     for (std::size_t i = 0; i < circuit_.size(); ++i)
-        members[static_cast<std::size_t>(group_of_[i])].push_back(
-            static_cast<int>(i));
-    return members;
+        if (group_of_[i] == static_cast<int>(i))
+            out[i] = {static_cast<int>(i)};
+    out.insert(out.end(), fused_.begin(), fused_.end());
+    return out;
 }
 
 std::vector<int>
@@ -74,51 +167,49 @@ GroupContraction::topologicalOrder() const
 std::vector<int>
 GroupContraction::topoOrder() const
 {
-    const auto ng = static_cast<std::size_t>(n_groups_);
-    std::vector<std::set<int>> succ(ng);
-    std::vector<int> indeg(ng, 0);
-    std::vector<char> present(ng, 0);
-    for (std::size_t u = 0; u < circuit_.size(); ++u) {
-        present[static_cast<std::size_t>(group_of_[u])] = 1;
+    // Kahn's algorithm with in-degrees counted per gate-level edge and
+    // kept at each group's first member. Parallel edges raise and
+    // lower a count alike, so a group becomes ready exactly when its
+    // last predecessor group leaves; first members are unique, so the
+    // min-heap on them fixes the order.
+    const std::size_t n = circuit_.size();
+    std::vector<int> indeg(n, 0);
+    for (std::size_t u = 0; u < n; ++u) {
+        const int gu = group_of_[u];
         for (int v : dag_.succs[u]) {
-            const int gu = group_of_[u];
             const int gv = group_of_[static_cast<std::size_t>(v)];
-            if (gu != gv
-                && succ[static_cast<std::size_t>(gu)].insert(gv).second)
-                ++indeg[static_cast<std::size_t>(gv)];
+            if (gu != gv)
+                ++indeg[static_cast<std::size_t>(firstMember(gv))];
         }
     }
-    std::vector<int> first_member(ng, 1 << 30);
-    for (std::size_t i = 0; i < circuit_.size(); ++i) {
-        auto &fm = first_member[static_cast<std::size_t>(group_of_[i])];
-        fm = std::min(fm, static_cast<int>(i));
-    }
-    auto cmp = [&](int a, int b) {
-        return first_member[static_cast<std::size_t>(a)]
-            > first_member[static_cast<std::size_t>(b)];
-    };
     std::vector<int> heap;
     std::size_t total = 0;
-    for (std::size_t g = 0; g < ng; ++g) {
-        if (!present[g])
+    for (std::size_t i = 0; i < n; ++i) {
+        if (firstMember(group_of_[i]) != static_cast<int>(i))
             continue;
         ++total;
-        if (indeg[g] == 0) {
-            heap.push_back(static_cast<int>(g));
-            std::push_heap(heap.begin(), heap.end(), cmp);
-        }
+        if (indeg[i] == 0)
+            heap.push_back(static_cast<int>(i));
     }
+    const std::greater<int> later;
+    std::make_heap(heap.begin(), heap.end(), later);
     std::vector<int> order;
     order.reserve(total);
     while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), cmp);
-        const int g = heap.back();
+        std::pop_heap(heap.begin(), heap.end(), later);
+        const int g = group_of_[static_cast<std::size_t>(heap.back())];
         heap.pop_back();
         order.push_back(g);
-        for (int s : succ[static_cast<std::size_t>(g)]) {
-            if (--indeg[static_cast<std::size_t>(s)] == 0) {
-                heap.push_back(s);
-                std::push_heap(heap.begin(), heap.end(), cmp);
+        for (int m : members(g)) {
+            for (int s : dag_.succs[static_cast<std::size_t>(m)]) {
+                const int gs = group_of_[static_cast<std::size_t>(s)];
+                if (gs == g)
+                    continue;
+                const int key = firstMember(gs);
+                if (--indeg[static_cast<std::size_t>(key)] == 0) {
+                    heap.push_back(key);
+                    std::push_heap(heap.begin(), heap.end(), later);
+                }
             }
         }
     }
@@ -127,32 +218,23 @@ GroupContraction::topoOrder() const
     return order;
 }
 
-bool
-GroupContraction::acyclic() const
-{
-    return !topoOrder().empty() || circuit_.size() == 0;
-}
-
 Circuit
 GroupContraction::emit(
     const std::function<Gate(const std::vector<int> &)> &merged_emitter)
     const
 {
-    std::vector<std::vector<int>> members(
-        static_cast<std::size_t>(n_groups_));
-    for (std::size_t i = 0; i < circuit_.size(); ++i)
-        members[static_cast<std::size_t>(group_of_[i])].push_back(
-            static_cast<int>(i));
     const std::vector<int> order = topoOrder();
     PAQOC_ASSERT(!order.empty() || circuit_.size() == 0,
                  "contracted graph is cyclic at emit time");
+    const int n = static_cast<int>(circuit_.size());
     Circuit out(circuit_.numQubits());
     for (int gid : order) {
-        const auto &m = members[static_cast<std::size_t>(gid)];
+        const std::span<const int> m = members(gid);
         if (m.size() == 1)
             out.add(circuit_.gate(static_cast<std::size_t>(m[0])));
         else
-            out.add(merged_emitter(m));
+            out.add(merged_emitter(
+                fused_[static_cast<std::size_t>(gid - n)]));
     }
     return out;
 }

@@ -14,26 +14,26 @@ Dag::hasEdge(int u, int v) const
 }
 
 bool
-Dag::reaches(int u, int v) const
+DagReach::reachesIndirectly(int u, int v)
 {
-    if (u == v)
-        return false;
     // Nodes are numbered in topological (program) order, so only nodes
-    // in (u, v] can lie on a path.
-    if (v < u)
-        return false;
-    std::vector<char> seen(size(), 0);
-    std::vector<int> stack{u};
-    while (!stack.empty()) {
-        const int n = stack.back();
-        stack.pop_back();
-        for (int s : succs[static_cast<std::size_t>(n)]) {
+    // in (u, v) can lie on a path into v.
+    seen_.reset(dag_.size());
+    stack_.clear();
+    const auto visit = [&](int s) {
+        if (s < v && seen_.insert(s))
+            stack_.push_back(s);
+    };
+    for (int w : dag_.succs[static_cast<std::size_t>(u)])
+        if (w != v)
+            visit(w);
+    while (!stack_.empty()) {
+        const int n = stack_.back();
+        stack_.pop_back();
+        for (int s : dag_.succs[static_cast<std::size_t>(n)]) {
             if (s == v)
                 return true;
-            if (s < v && !seen[static_cast<std::size_t>(s)]) {
-                seen[static_cast<std::size_t>(s)] = 1;
-                stack.push_back(s);
-            }
+            visit(s);
         }
     }
     return false;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "common/stamp_set.h"
 
 namespace paqoc {
 
@@ -21,12 +22,31 @@ struct Dag
 
     /** True if v directly depends on u. */
     bool hasEdge(int u, int v) const;
+};
+
+/**
+ * Reachability queries over one DAG whose edges run forward in node
+ * order (both DAG builders guarantee it). The visited set and the
+ * stack are reused across queries, so a query allocates nothing once
+ * they have grown.
+ */
+class DagReach
+{
+  public:
+    explicit DagReach(const Dag &dag) : dag_(dag) {}
 
     /**
-     * True if v is reachable from u through directed edges (u != v).
-     * Used to detect the false dependences gate merging could create.
+     * True if a path of two or more edges leads from u to v, i.e. some
+     * successor of u other than v reaches v. Contracting u and v into
+     * one node would then close a cycle: the false dependence gate
+     * merging must not create.
      */
-    bool reaches(int u, int v) const;
+    bool reachesIndirectly(int u, int v);
+
+  private:
+    const Dag &dag_;
+    StampSet seen_;
+    std::vector<int> stack_;
 };
 
 /** Build the shared-qubit dependence DAG of a circuit. */

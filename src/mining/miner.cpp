@@ -1,16 +1,19 @@
 #include "mining/miner.h"
 
 #include <algorithm>
-#include <functional>
+#include <charconv>
 #include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
 #include <set>
-#include <sstream>
+#include <span>
+#include <string_view>
+#include <tuple>
 
 #include "circuit/contract.h"
 #include "common/error.h"
+#include "common/stamp_set.h"
 
 namespace paqoc {
 
@@ -23,16 +26,20 @@ contains(const std::vector<int> &sorted, int v)
     return std::binary_search(sorted.begin(), sorted.end(), v);
 }
 
-/** Qubit support size of a gate set. */
-int
-supportSize(const Circuit &circuit, const std::vector<int> &nodes)
+/** True if a gate set acts on at most `max_qubits` qubits. */
+bool
+fitsQubits(const Circuit &circuit, const std::vector<int> &nodes,
+           int max_qubits, StampSet &qubits)
 {
-    std::set<int> qubits;
+    qubits.reset(static_cast<std::size_t>(circuit.numQubits()));
+    int count = 0;
     for (int n : nodes) {
-        const Gate &g = circuit.gate(static_cast<std::size_t>(n));
-        qubits.insert(g.qubits().begin(), g.qubits().end());
+        for (int q : circuit.gate(static_cast<std::size_t>(n)).qubits()) {
+            if (qubits.insert(q) && ++count > max_qubits)
+                return false;
+        }
     }
-    return static_cast<int>(qubits.size());
+    return true;
 }
 
 /**
@@ -40,17 +47,16 @@ supportSize(const Circuit &circuit, const std::vector<int> &nodes)
  * i.e. no dependence path leaves the set and re-enters it.
  */
 bool
-isConvex(const Dag &dag, const std::vector<int> &nodes)
+isConvex(const Dag &dag, const std::vector<int> &nodes, StampSet &seen,
+         std::vector<int> &stack)
 {
     const int hi = nodes.back();
-    std::vector<int> stack;
-    std::set<int> seen;
+    seen.reset(dag.size());
+    stack.clear();
     for (int n : nodes) {
         for (int s : dag.succs[static_cast<std::size_t>(n)]) {
-            if (!contains(nodes, s) && s < hi) {
-                if (seen.insert(s).second)
-                    stack.push_back(s);
-            }
+            if (!contains(nodes, s) && s < hi && seen.insert(s))
+                stack.push_back(s);
         }
     }
     while (!stack.empty()) {
@@ -59,7 +65,7 @@ isConvex(const Dag &dag, const std::vector<int> &nodes)
         for (int s : dag.succs[static_cast<std::size_t>(u)]) {
             if (contains(nodes, s))
                 return false;
-            if (s < hi && seen.insert(s).second)
+            if (s < hi && seen.insert(s))
                 stack.push_back(s);
         }
     }
@@ -71,123 +77,185 @@ isConvex(const Dag &dag, const std::vector<int> &nodes)
  * set: minimize over node orderings, permuting only within blocks of
  * equal (label, in-degree, out-degree) invariants to keep the search
  * small.
+ *
+ * A code is the node labels in the chosen order, each followed by
+ * '|', then the edge strings "from>to(label)" (positions under that
+ * order) sorted as strings, each followed by ';'. Every ordering
+ * enumerated keeps each block's label at its positions, so the label
+ * part is the same for all of them and only the edge part is compared.
+ * The buffers persist across calls of one mining run.
  */
-std::string
-canonicalCode(const LabeledGraph &graph, const std::vector<int> &nodes)
+class CanonicalCoder
 {
-    const int k = static_cast<int>(nodes.size());
-    struct LocalEdge { int from, to; const std::string *label; };
-    std::vector<LocalEdge> edges;
-    std::vector<int> indeg(static_cast<std::size_t>(k), 0);
-    std::vector<int> outdeg(static_cast<std::size_t>(k), 0);
-    auto local_index = [&](int node) {
-        return static_cast<int>(
-            std::lower_bound(nodes.begin(), nodes.end(), node)
-            - nodes.begin());
-    };
-    for (int i = 0; i < k; ++i) {
-        const auto ni = static_cast<std::size_t>(nodes[
-            static_cast<std::size_t>(i)]);
-        for (int ei : graph.out[ni]) {
-            const auto &e = graph.edges[static_cast<std::size_t>(ei)];
-            if (!contains(nodes, e.to))
-                continue;
-            const int j = local_index(e.to);
-            edges.push_back({i, j, &e.label});
-            ++outdeg[static_cast<std::size_t>(i)];
-            ++indeg[static_cast<std::size_t>(j)];
+  public:
+    std::string
+    code(const LabeledGraph &graph, const std::vector<int> &nodes)
+    {
+        const int k = static_cast<int>(nodes.size());
+        const auto sk = static_cast<std::size_t>(k);
+        edges_.clear();
+        indeg_.assign(sk, 0);
+        outdeg_.assign(sk, 0);
+        for (int i = 0; i < k; ++i) {
+            const auto ni = static_cast<std::size_t>(
+                nodes[static_cast<std::size_t>(i)]);
+            for (int ei : graph.out[ni]) {
+                const auto &e = graph.edges[static_cast<std::size_t>(ei)];
+                const auto it =
+                    std::lower_bound(nodes.begin(), nodes.end(), e.to);
+                if (it == nodes.end() || *it != e.to)
+                    continue;
+                const auto j = static_cast<int>(it - nodes.begin());
+                edges_.push_back({i, j, &e.label});
+                ++outdeg_[static_cast<std::size_t>(i)];
+                ++indeg_[static_cast<std::size_t>(j)];
+            }
         }
+
+        // Invariant-sorted base ordering.
+        order_.resize(sk);
+        std::iota(order_.begin(), order_.end(), 0);
+        const auto invariant = [&](int i) {
+            return std::tuple<const std::string &, int, int>(
+                graph.nodeLabels[static_cast<std::size_t>(
+                    nodes[static_cast<std::size_t>(i)])],
+                indeg_[static_cast<std::size_t>(i)],
+                outdeg_[static_cast<std::size_t>(i)]);
+        };
+        std::sort(order_.begin(), order_.end(), [&](int a, int b) {
+            return invariant(a) < invariant(b);
+        });
+
+        // Identify blocks of equal invariants.
+        blocks_.clear();
+        for (int i = 0; i < k;) {
+            int j = i + 1;
+            while (j < k
+                   && invariant(order_[static_cast<std::size_t>(i)])
+                       == invariant(order_[static_cast<std::size_t>(j)]))
+                ++j;
+            blocks_.emplace_back(i, j);
+            i = j;
+        }
+
+        edgePart(order_, best_);
+        // With every block a single node the base ordering is the only
+        // one, and it is already serialized.
+        if (blocks_.size() < sk) {
+            // Enumerate permutations within blocks (capped for
+            // pathological label multiplicity; the cap only risks
+            // splitting one pattern into a few equivalent codes, never
+            // merging distinct ones).
+            budget_ = 4000;
+            perm_ = order_;
+            enumerate(0);
+        }
+
+        std::string out;
+        for (int p : order_) {
+            out += graph.nodeLabels[static_cast<std::size_t>(
+                nodes[static_cast<std::size_t>(p)])];
+            out += '|';
+        }
+        out += best_;
+        return out;
     }
 
-    // Invariant-sorted base ordering.
-    std::vector<int> order(static_cast<std::size_t>(k));
-    std::iota(order.begin(), order.end(), 0);
-    auto invariant = [&](int i) {
-        return std::tuple<const std::string &, int, int>(
-            graph.nodeLabels[static_cast<std::size_t>(
-                nodes[static_cast<std::size_t>(i)])],
-            indeg[static_cast<std::size_t>(i)],
-            outdeg[static_cast<std::size_t>(i)]);
-    };
-    std::sort(order.begin(), order.end(),
-              [&](int a, int b) { return invariant(a) < invariant(b); });
-
-    // Identify blocks of equal invariants.
-    std::vector<std::pair<int, int>> blocks;
-    for (int i = 0; i < k;) {
-        int j = i + 1;
-        while (j < k && invariant(order[static_cast<std::size_t>(i)])
-                   == invariant(order[static_cast<std::size_t>(j)]))
-            ++j;
-        blocks.emplace_back(i, j);
-        i = j;
-    }
-
-    auto serialize = [&](const std::vector<int> &perm) {
-        // pos[i] = position of local node i under this ordering.
-        std::vector<int> pos(static_cast<std::size_t>(k));
-        for (int p = 0; p < k; ++p)
-            pos[static_cast<std::size_t>(
-                perm[static_cast<std::size_t>(p)])] = p;
-        std::ostringstream oss;
-        for (int p = 0; p < k; ++p)
-            oss << graph.nodeLabels[static_cast<std::size_t>(
-                       nodes[static_cast<std::size_t>(
-                           perm[static_cast<std::size_t>(p)])])]
-                << '|';
-        std::vector<std::string> es;
-        es.reserve(edges.size());
-        for (const auto &e : edges) {
-            std::ostringstream eo;
-            eo << pos[static_cast<std::size_t>(e.from)] << '>'
-               << pos[static_cast<std::size_t>(e.to)] << '('
-               << *e.label << ')';
-            es.push_back(eo.str());
-        }
-        std::sort(es.begin(), es.end());
-        for (const auto &s : es)
-            oss << s << ';';
-        return oss.str();
+  private:
+    struct LocalEdge
+    {
+        int from, to;
+        const std::string *label;
     };
 
-    // Enumerate permutations within blocks (capped for pathological
-    // label multiplicity; the cap only risks splitting one pattern
-    // into a few equivalent codes, never merging distinct ones).
-    std::string best = serialize(order);
-    long budget = 4000;
-    std::vector<int> perm = order;
-    // Recursive enumeration over block permutations.
-    std::function<void(std::size_t)> recurse = [&](std::size_t b) {
-        if (budget <= 0)
+    /** Nested block permutations, block 0 outermost. */
+    void
+    enumerate(std::size_t b)
+    {
+        if (budget_ <= 0)
             return;
-        if (b == blocks.size()) {
-            --budget;
-            std::string s = serialize(perm);
-            if (s < best)
-                best = std::move(s);
+        if (b == blocks_.size()) {
+            --budget_;
+            edgePart(perm_, cand_);
+            if (cand_ < best_)
+                std::swap(best_, cand_);
             return;
         }
-        const auto [lo, hi] = blocks[b];
-        std::sort(perm.begin() + lo, perm.begin() + hi);
+        const auto [lo, hi] = blocks_[b];
+        std::sort(perm_.begin() + lo, perm_.begin() + hi);
         do {
-            recurse(b + 1);
-        } while (budget > 0
-                 && std::next_permutation(perm.begin() + lo,
-                                          perm.begin() + hi));
-    };
-    recurse(0);
-    return best;
-}
+            enumerate(b + 1);
+        } while (budget_ > 0
+                 && std::next_permutation(perm_.begin() + lo,
+                                          perm_.begin() + hi));
+    }
+
+    /** The sorted edge strings of one ordering, each ending in ';'. */
+    void
+    edgePart(const std::vector<int> &perm, std::string &out)
+    {
+        // pos[i] = position of local node i under this ordering.
+        pos_.resize(perm.size());
+        for (std::size_t p = 0; p < perm.size(); ++p)
+            pos_[static_cast<std::size_t>(perm[p])] = static_cast<int>(p);
+        text_.clear();
+        spans_.clear();
+        for (const LocalEdge &e : edges_) {
+            const std::size_t begin = text_.size();
+            appendInt(pos_[static_cast<std::size_t>(e.from)]);
+            text_ += '>';
+            appendInt(pos_[static_cast<std::size_t>(e.to)]);
+            text_ += '(';
+            text_ += *e.label;
+            text_ += ')';
+            spans_.emplace_back(begin, text_.size() - begin);
+        }
+        const std::string_view text = text_;
+        // Equal strings may tie in any order: the concatenation is the
+        // same.
+        std::sort(spans_.begin(), spans_.end(),
+                  [&](const auto &a, const auto &b) {
+                      return text.substr(a.first, a.second)
+                          < text.substr(b.first, b.second);
+                  });
+        out.clear();
+        for (const auto &[begin, length] : spans_) {
+            out.append(text.substr(begin, length));
+            out += ';';
+        }
+    }
+
+    void
+    appendInt(int v)
+    {
+        char buf[16];
+        const auto res = std::to_chars(buf, buf + sizeof buf, v);
+        text_.append(buf, res.ptr);
+    }
+
+    std::vector<LocalEdge> edges_;
+    std::vector<int> indeg_;
+    std::vector<int> outdeg_;
+    std::vector<int> order_;
+    std::vector<int> perm_;
+    std::vector<int> pos_;
+    std::vector<std::pair<int, int>> blocks_;
+    std::string text_;
+    std::vector<std::pair<std::size_t, std::size_t>> spans_;
+    std::string best_;
+    std::string cand_;
+    long budget_ = 0;
+};
 
 /** Human-readable pattern text from one embedding. */
 std::string
 describe(const LabeledGraph &graph, const std::vector<int> &nodes)
 {
-    std::ostringstream oss;
+    std::string out;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         if (i)
-            oss << ' ';
-        oss << graph.nodeLabels[static_cast<std::size_t>(nodes[i])];
+            out += ' ';
+        out += graph.nodeLabels[static_cast<std::size_t>(nodes[i])];
     }
     bool first = true;
     for (int n : nodes) {
@@ -195,19 +263,19 @@ describe(const LabeledGraph &graph, const std::vector<int> &nodes)
             const auto &e = graph.edges[static_cast<std::size_t>(ei)];
             if (!contains(nodes, e.to))
                 continue;
-            oss << (first ? "  [" : ", ");
+            out += first ? "  [" : ", ";
             first = false;
             const auto it_f =
                 std::lower_bound(nodes.begin(), nodes.end(), e.from);
             const auto it_t =
                 std::lower_bound(nodes.begin(), nodes.end(), e.to);
-            oss << (it_f - nodes.begin()) << "->"
-                << (it_t - nodes.begin()) << ":" << e.label;
+            out += std::to_string(it_f - nodes.begin()) + "->"
+                + std::to_string(it_t - nodes.begin()) + ":" + e.label;
         }
     }
     if (!first)
-        oss << "]";
-    return oss.str();
+        out += "]";
+    return out;
 }
 
 /** Greedy maximal set of pairwise-disjoint embeddings. */
@@ -247,13 +315,18 @@ mineFrequentSubcircuits(const Circuit &circuit, const MinerOptions &options)
 
     const Dag dag = buildDag(circuit);
     const LabeledGraph graph = buildLabeledGraph(circuit, dag);
+    StampSet qubits;
+    StampSet seen;
+    std::vector<int> stack;
+    std::vector<int> neighbors;
+    CanonicalCoder coder;
 
     // Round 1: every dependence edge seeds a two-gate set.
     std::set<std::vector<int>> frontier;
     for (const auto &e : graph.edges) {
         std::vector<int> s{std::min(e.from, e.to),
                            std::max(e.from, e.to)};
-        if (supportSize(circuit, s) <= options.maxQubits)
+        if (fitsQubits(circuit, s, options.maxQubits, qubits))
             frontier.insert(std::move(s));
     }
 
@@ -262,14 +335,14 @@ mineFrequentSubcircuits(const Circuit &circuit, const MinerOptions &options)
         // Group this round's sets by canonical pattern code.
         std::map<std::string, std::vector<std::vector<int>>> by_code;
         for (const auto &nodes : frontier)
-            by_code[canonicalCode(graph, nodes)].push_back(nodes);
+            by_code[coder.code(graph, nodes)].push_back(nodes);
 
         std::set<std::vector<int>> next;
         for (auto &[code, embeddings] : by_code) {
             // Only convex embeddings are usable as gates.
             std::vector<std::vector<int>> convex;
             for (auto &e : embeddings)
-                if (isConvex(dag, e))
+                if (isConvex(dag, e, seen, stack))
                     convex.push_back(e);
             const std::vector<std::vector<int>> disjoint =
                 disjointEmbeddings(convex);
@@ -285,28 +358,34 @@ mineFrequentSubcircuits(const Circuit &circuit, const MinerOptions &options)
             p.embeddings = disjoint;
             result.push_back(std::move(p));
 
-            // Grow every disjoint embedding by one adjacent gate.
+            // Grow every disjoint embedding by one adjacent gate, the
+            // neighbours in ascending order.
             if (size == options.maxPatternGates)
                 continue;
             for (const auto &nodes : disjoint) {
-                std::set<int> neighbors;
+                neighbors.clear();
                 for (int n : nodes) {
                     const auto ns = static_cast<std::size_t>(n);
                     for (int ei : graph.out[ns])
-                        neighbors.insert(
+                        neighbors.push_back(
                             graph.edges[static_cast<std::size_t>(ei)].to);
                     for (int ei : graph.in[ns])
-                        neighbors.insert(
+                        neighbors.push_back(
                             graph.edges[static_cast<std::size_t>(ei)]
                                 .from);
                 }
+                std::sort(neighbors.begin(), neighbors.end());
+                neighbors.erase(
+                    std::unique(neighbors.begin(), neighbors.end()),
+                    neighbors.end());
                 for (int w : neighbors) {
                     if (contains(nodes, w))
                         continue;
                     std::vector<int> grown = nodes;
                     grown.insert(std::upper_bound(grown.begin(),
                                                   grown.end(), w), w);
-                    if (supportSize(circuit, grown) <= options.maxQubits)
+                    if (fitsQubits(circuit, grown, options.maxQubits,
+                                   qubits))
                         next.insert(std::move(grown));
                 }
             }
@@ -329,47 +408,58 @@ namespace {
  * Makespan of the contracted circuit evaluated directly on the group
  * DAG -- no circuit emission. Multi-gate group latencies are merged-
  * unitary estimates clamped by the members' summed latency, memoized
- * by member set so repeated trials are cheap.
+ * by member set so repeated trials are cheap. Member lists are read in
+ * place from the contraction.
  */
 class ContractedScheduler
 {
   public:
     ContractedScheduler(const Circuit &circuit, const Dag &dag,
                         const LatencyFn &latency)
-        : circuit_(circuit), dag_(dag), latency_(latency)
+        : circuit_(circuit), dag_(dag), latency_(latency),
+          finish_(circuit.size(), 0.0)
     {}
 
     double
     makespan(const GroupContraction &gc)
     {
-        const std::vector<std::vector<int>> members = gc.membersById();
-        const std::vector<int> order = gc.topologicalOrder();
-        std::vector<double> finish(members.size(), 0.0);
+        // finish_ holds each gate's group finish time, written for all
+        // members once the group is scheduled.
         double best = 0.0;
-        for (int gid : order) {
-            const auto &m = members[static_cast<std::size_t>(gid)];
+        for (int gid : gc.topologicalOrder()) {
+            const std::span<const int> m = gc.members(gid);
             double start = 0.0;
             for (int gate : m) {
                 for (int p : dag_.preds[static_cast<std::size_t>(
                          gate)]) {
-                    const int pg = gc.groupOf(p);
-                    if (pg != gid)
+                    if (gc.groupOf(p) != gid)
                         start = std::max(
-                            start,
-                            finish[static_cast<std::size_t>(pg)]);
+                            start, finish_[static_cast<std::size_t>(p)]);
                 }
             }
-            finish[static_cast<std::size_t>(gid)] =
-                start + groupLatency(m);
-            best = std::max(best,
-                            finish[static_cast<std::size_t>(gid)]);
+            const double finish = start + groupLatency(m);
+            for (int gate : m)
+                finish_[static_cast<std::size_t>(gate)] = finish;
+            best = std::max(best, finish);
         }
         return best;
     }
 
   private:
+    /** Lexicographic order of member lists, stored or in place. */
+    struct MembersLess
+    {
+        using is_transparent = void;
+        bool
+        operator()(std::span<const int> a, std::span<const int> b) const
+        {
+            return std::lexicographical_compare(a.begin(), a.end(),
+                                                b.begin(), b.end());
+        }
+    };
+
     double
-    groupLatency(const std::vector<int> &members)
+    groupLatency(std::span<const int> members)
     {
         if (members.size() == 1) {
             return latency_(circuit_.gate(
@@ -390,14 +480,16 @@ class ContractedScheduler
             "trial", sub.qubits, sub.matrix,
             static_cast<int>(members.size()), cap);
         const double lat = std::min(latency_(merged), cap);
-        memo_.emplace(members, lat);
+        memo_.emplace(std::vector<int>(members.begin(), members.end()),
+                      lat);
         return lat;
     }
 
     const Circuit &circuit_;
     const Dag &dag_;
     const LatencyFn &latency_;
-    std::map<std::vector<int>, double> memo_;
+    std::vector<double> finish_;
+    std::map<std::vector<int>, double, MembersLess> memo_;
 };
 
 } // namespace

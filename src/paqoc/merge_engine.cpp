@@ -49,13 +49,13 @@ gateKey(const Gate &g)
 
 /** Qubit support union size of two gates. */
 int
-unionSupport(const Gate &a, const Gate &b, std::vector<int> *out = nullptr)
+unionSupport(const Gate &a, const Gate &b)
 {
-    std::set<int> s(a.qubits().begin(), a.qubits().end());
-    s.insert(b.qubits().begin(), b.qubits().end());
-    if (out != nullptr)
-        out->assign(s.begin(), s.end());
-    return static_cast<int>(s.size());
+    int n = a.arity();
+    for (int q : b.qubits())
+        if (!a.actsOn(q))
+            ++n;
+    return n;
 }
 
 /** Merged custom gate from member gates, capped by their sum. */
@@ -189,6 +189,7 @@ mergeCustomizedGates(const Circuit &circuit, PulseGenerator &generator,
             : Dag{};
         const Dag &contract_dag =
             options.commutativityAware ? relaxed : dag;
+        DagReach reach(contract_dag);
 
         // Gather and rank candidates: two-gate grouping over plain DAG
         // edges, plus (when commutativity-aware) same-run commuting
@@ -216,14 +217,7 @@ mergeCustomizedGates(const Circuit &circuit, PulseGenerator &generator,
             }
             // A pair contraction is invalid when a dependence path
             // leaves u and re-enters at v around the pair.
-            bool indirect = false;
-            for (int w : contract_dag.succs[u]) {
-                if (w != v && contract_dag.reaches(w, v)) {
-                    indirect = true;
-                    break;
-                }
-            }
-            if (indirect)
+            if (reach.reachesIndirectly(ui, v))
                 continue;
             Candidate c;
             c.u = ui;

@@ -8,6 +8,29 @@
 
 namespace paqoc {
 
+double
+MemoizedLatencyModel::latency(const Matrix &unitary, int num_qubits)
+{
+    const std::size_t rows = unitary.rows();
+    std::string key(reinterpret_cast<const char *>(unitary.data()),
+                    rows * unitary.cols() * sizeof(Complex));
+    key.append(reinterpret_cast<const char *>(&rows), sizeof rows);
+    key.append(reinterpret_cast<const char *>(&num_qubits),
+               sizeof num_qubits);
+    {
+        const MutexLock lock(mu_);
+        const auto it = memo_.find(key);
+        if (it != memo_.end())
+            return it->second;
+    }
+    // Outside the lock: workers deriving distinct unitaries run the
+    // model in parallel; a racing duplicate computes the same value.
+    const double lat = model_.latency(unitary, num_qubits);
+    const MutexLock lock(mu_);
+    memo_.emplace(std::move(key), lat);
+    return lat;
+}
+
 PulseGenResult
 PulseGenerator::generate(const Matrix &unitary, int num_qubits)
 {

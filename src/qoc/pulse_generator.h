@@ -6,8 +6,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "linalg/matrix.h"
 #include "qoc/grape.h"
@@ -36,6 +38,37 @@ struct PulseGenResult
     bool degraded = false;
     /** The controls themselves (absent in estimate-only paths). */
     std::optional<PulseSchedule> schedule;
+};
+
+/**
+ * The spectral latency model behind a memo keyed on the unitary's
+ * exact bytes and width, so the generator holding it runs the model
+ * once per distinct unitary, whichever path asks: the passes'
+ * estimates or the pulse pass's derivations, on any worker. Exact
+ * bytes, not PulseCache::canonicalKey: the memo stands in for a pure
+ * function, so two unitaries that round alike still get their own
+ * latency. It lives and dies with its generator (one request) and
+ * never reads the pulse cache; the model itself stays pure
+ * (DESIGN.md §17).
+ */
+class MemoizedLatencyModel
+{
+  public:
+    /** SpectralLatencyModel::latency, bit for bit. Thread-safe. */
+    double latency(const Matrix &unitary, int num_qubits)
+        PAQOC_EXCLUDES(mu_);
+
+    double averageLatency(int num_qubits) const
+    { return model_.averageLatency(num_qubits); }
+    double pulseError(int num_qubits, double latency) const
+    { return model_.pulseError(num_qubits, latency); }
+    double compileCost(int num_qubits, double latency) const
+    { return model_.compileCost(num_qubits, latency); }
+
+  private:
+    SpectralLatencyModel model_;
+    Mutex mu_;
+    std::unordered_map<std::string, double> memo_ PAQOC_GUARDED_BY(mu_);
 };
 
 /** One unitary of a batch pulse request. */
@@ -228,7 +261,7 @@ class SpectralPulseGenerator : public PulseGenerator
     bool dedupBatch() const override { return cache_enabled_; }
 
   private:
-    SpectralLatencyModel model_;
+    MemoizedLatencyModel model_;
     bool cache_enabled_ = true;
 };
 
@@ -274,7 +307,7 @@ class GrapePulseGenerator : public PulseGenerator
 
   private:
     GrapeOptions options_;
-    SpectralLatencyModel model_;
+    MemoizedLatencyModel model_;
     double seed_distance_ = 1.0;
     GrapeCheckpointProvider *checkpoints_ = nullptr;
     int checkpoint_every_ = 0;

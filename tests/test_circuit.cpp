@@ -237,8 +237,10 @@ TEST(Dag, LinearChainOnOneQubit)
     EXPECT_TRUE(d.hasEdge(0, 1));
     EXPECT_TRUE(d.hasEdge(1, 2));
     EXPECT_FALSE(d.hasEdge(0, 2));
-    EXPECT_TRUE(d.reaches(0, 2));
-    EXPECT_FALSE(d.reaches(2, 0));
+    DagReach reach(d);
+    EXPECT_TRUE(reach.reachesIndirectly(0, 2));
+    EXPECT_FALSE(reach.reachesIndirectly(2, 0));
+    EXPECT_FALSE(reach.reachesIndirectly(0, 1)); // the edge alone
 }
 
 TEST(Dag, NoDuplicateEdgeForTwoSharedQubits)
@@ -257,8 +259,9 @@ TEST(Dag, IndependentGatesUnordered)
     c.cx(0, 1);
     c.cx(2, 3);
     const Dag d = buildDag(c);
-    EXPECT_FALSE(d.reaches(0, 1));
-    EXPECT_FALSE(d.reaches(1, 0));
+    DagReach reach(d);
+    EXPECT_FALSE(reach.reachesIndirectly(0, 1));
+    EXPECT_FALSE(reach.reachesIndirectly(1, 0));
 }
 
 TEST(Schedule, SerialChainAddsLatencies)

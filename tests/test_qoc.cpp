@@ -1377,5 +1377,95 @@ TEST(GrapeBytes, PinnedOnBothKernelBackends)
     kernels::setBackend(entry);
 }
 
+/** The exact bits of a double. */
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+TEST(LatencyMemo, EstimatesAreTheModelBitForBit)
+{
+    // Both backends answer estimateLatency from one value-keyed memo
+    // over the model; first calls and repeats must be the model's own
+    // bits, whichever backend and whatever was asked before.
+    const SpectralLatencyModel model;
+    SpectralPulseGenerator spectral;
+    GrapePulseGenerator grape;
+    Rng rng(0x5eed1a7e);
+    std::vector<std::pair<Matrix, int>> unitaries;
+    for (int i = 0; i < 30; ++i) {
+        const int n = 1 + i % 3;
+        unitaries.emplace_back(randomUnitaryOf(n, rng), n);
+    }
+    // Matrices that differ only in the sign of a zero entry: equal as
+    // values, distinct as bytes, so each gets its own memo entry.
+    const Matrix cx = Gate(Op::CX, {0, 1}).unitary();
+    Matrix neg_re = cx;
+    neg_re(0, 1) = Complex(-0.0, 0.0);
+    Matrix neg_im = cx;
+    neg_im(0, 1) = Complex(0.0, -0.0);
+    unitaries.emplace_back(cx, 2);
+    unitaries.emplace_back(neg_re, 2);
+    unitaries.emplace_back(neg_im, 2);
+    for (int pass = 0; pass < 3; ++pass) {
+        for (const auto &[u, n] : unitaries) {
+            const std::uint64_t want = bitsOf(model.latency(u, n));
+            EXPECT_EQ(bitsOf(spectral.estimateLatency(u, n)), want)
+                << "spectral, pass " << pass << ", width " << n;
+            EXPECT_EQ(bitsOf(grape.estimateLatency(u, n)), want)
+                << "grape, pass " << pass << ", width " << n;
+        }
+    }
+}
+
+TEST(LatencyMemo, SpectralBatchOnPoolMatchesSerialRun)
+{
+    // Duplicate and distinct unitaries on four workers: the memo is
+    // shared by the workers' derivations and must not change a bit.
+    Rng rng(0xba7c4);
+    std::vector<PulseRequest> requests;
+    for (int i = 0; i < 12; ++i) {
+        const int n = 1 + i % 3;
+        requests.push_back({randomUnitaryOf(n, rng), n});
+    }
+    for (int i = 0; i < 8; ++i)
+        requests.push_back(requests[rng.below(12)]);
+    for (std::size_t i = requests.size() - 1; i > 0; --i)
+        std::swap(requests[i], requests[rng.below(i + 1)]);
+
+    SpectralPulseGenerator serial;
+    std::vector<PulseGenResult> expected;
+    for (const PulseRequest &r : requests)
+        expected.push_back(serial.generate(r.unitary, r.numQubits));
+
+    ThreadPool pool(4);
+    SpectralPulseGenerator batched;
+    // Half the unitaries were estimated before the batch, as the
+    // passes estimate them before the pulse pass derives them.
+    for (std::size_t i = 0; i < requests.size(); i += 2)
+        batched.estimateLatency(requests[i].unitary,
+                                requests[i].numQubits);
+    const std::vector<PulseGenResult> got =
+        batched.generateBatch(requests, &pool);
+
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].cacheHit, expected[i].cacheHit) << i;
+        EXPECT_EQ(bitsOf(got[i].latency), bitsOf(expected[i].latency))
+            << i;
+        EXPECT_EQ(bitsOf(got[i].error), bitsOf(expected[i].error)) << i;
+        EXPECT_EQ(bitsOf(got[i].costUnits),
+                  bitsOf(expected[i].costUnits))
+            << i;
+    }
+    EXPECT_EQ(batched.generateCalls(), serial.generateCalls());
+    EXPECT_EQ(batched.cacheHits(), serial.cacheHits());
+    EXPECT_EQ(bitsOf(batched.totalCostUnits()),
+              bitsOf(serial.totalCostUnits()));
+}
+
 } // namespace
 } // namespace paqoc

@@ -3,7 +3,6 @@
 #
 # Default mode regenerates the canonical snapshots at the repo root:
 #   BENCH_kernels.json  -- bench_micro_kernels --snapshot
-#   BENCH_compile.json  -- bench_fig11_compile_time --snapshot
 #   BENCH_fleet.json    -- bench_fleet --snapshot
 #   BENCH_tier.json     -- bench_tier --snapshot
 #   BENCH_overload.json -- bench_overload --snapshot
@@ -33,7 +32,7 @@ BUILD_DIR=build
 QUICK=--quick
 
 usage() {
-    sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'
     exit "${1:-0}"
 }
 
@@ -51,12 +50,10 @@ while [ $# -gt 0 ]; do
 done
 
 KERNELS_BIN="$BUILD_DIR/bench/bench_micro_kernels"
-COMPILE_BIN="$BUILD_DIR/bench/bench_fig11_compile_time"
 FLEET_BIN="$BUILD_DIR/bench/bench_fleet"
 TIER_BIN="$BUILD_DIR/bench/bench_tier"
 OVERLOAD_BIN="$BUILD_DIR/bench/bench_overload"
-for bin in "$KERNELS_BIN" "$COMPILE_BIN" "$FLEET_BIN" "$TIER_BIN" \
-    "$OVERLOAD_BIN"; do
+for bin in "$KERNELS_BIN" "$FLEET_BIN" "$TIER_BIN" "$OVERLOAD_BIN"; do
     if [ ! -x "$bin" ]; then
         echo "bench_snapshot: missing $bin -- build first:" >&2
         echo "  cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
@@ -81,7 +78,6 @@ run_one() {
 }
 
 run_one "$KERNELS_BIN" BENCH_kernels.json
-run_one "$COMPILE_BIN" BENCH_compile.json
 run_one "$FLEET_BIN" BENCH_fleet.json
 run_one "$TIER_BIN" BENCH_tier.json
 run_one "$OVERLOAD_BIN" BENCH_overload.json
